@@ -9,11 +9,19 @@ nullspaces and inertia are implemented below.
 The sparse row format used by :func:`nullspace_sparse` is a dict mapping
 column index to a nonzero Fraction; systems arising from structure constants
 are extremely sparse and dense elimination would waste most of its work.
+
+:class:`SparseQ` is the product kernel behind the exact curvature and
+bracket checks: a rational matrix held as dict-of-rows Python ints over one
+common denominator.  Products, sums and the ad action then run over ints
+(Bareiss's fraction-free idea, Math. Comp. 22, 1968) and touch only the
+nonzero entries; Fractions appear again only when a result is converted
+back to a dense array.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -30,8 +38,9 @@ __all__ = [
     "det",
     "rank_sparse",
     "nullspace_sparse",
-    "nullspace_dense",
     "ldl_inertia",
+    "SparseQ",
+    "ad",
 ]
 
 
@@ -213,15 +222,6 @@ def nullspace_sparse(rows, nvars: int) -> list[np.ndarray]:
     return basis
 
 
-def nullspace_dense(a: np.ndarray) -> list[np.ndarray]:
-    rows = []
-    for i in range(a.shape[0]):
-        row = {j: a[i, j] for j in range(a.shape[1]) if a[i, j] != 0}
-        if row:
-            rows.append(row)
-    return nullspace_sparse(rows, a.shape[1])
-
-
 def ldl_inertia(s: np.ndarray) -> tuple[int, int, int]:
     """Exact inertia (p, q, z) of a symmetric rational matrix.
 
@@ -260,3 +260,114 @@ def ldl_inertia(s: np.ndarray) -> tuple[int, int, int]:
                 work[r, :] = work[r, :] - f * work[piv_i, :]
                 work[:, r] = work[:, r] - f * work[:, piv_i]
     return p, q, z
+
+
+class SparseQ:
+    """Rational matrix ``rows[r][c] / den`` with Python-int entries.
+
+    Absent entries are zero and ``den`` is one positive int shared by every
+    entry, so sums and products run over ints and touch only the nonzero
+    entries.  Nothing is reduced until :meth:`dense` builds Fractions, which
+    therefore equal the dense Fraction computation entry by entry.  Row and
+    column keys are the integer indices of the dense matrix.
+    """
+
+    __slots__ = ("rows", "den")
+
+    def __init__(self, rows: dict, den: int = 1):
+        self.rows = rows
+        self.den = den
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "SparseQ":
+        """Scale a 2-D exact array by the lcm of its denominators."""
+        rows = {}
+        for r, line in enumerate(a.tolist()):
+            row = {c: x for c, x in enumerate(line) if x}
+            if row:
+                rows[r] = row
+        den = lcm(*(x.denominator for row in rows.values() for x in row.values()))
+        for row in rows.values():
+            for c, x in row.items():
+                row[c] = x.numerator * (den // x.denominator)
+        return cls(rows, den)
+
+    def dense(self, shape: tuple) -> np.ndarray:
+        """Dense Fraction array of the given shape."""
+        out = fzeros(shape)
+        for r, row in self.rows.items():
+            for c, v in row.items():
+                if v:
+                    out[r, c] = Fraction(v, self.den)
+        return out
+
+    @property
+    def T(self) -> "SparseQ":
+        out: dict = {}
+        for r, row in self.rows.items():
+            for c, v in row.items():
+                out.setdefault(c, {})[r] = v
+        return SparseQ(out, self.den)
+
+    def __matmul__(self, other: "SparseQ") -> "SparseQ":
+        out = {}
+        right = other.rows
+        for r, row in self.rows.items():
+            acc: dict = {}
+            for k, v in row.items():
+                for c, w in right.get(k, {}).items():
+                    acc[c] = acc.get(c, 0) + v * w
+            if acc:
+                out[r] = acc
+        return SparseQ(out, self.den * other.den)
+
+    def __add__(self, other: "SparseQ") -> "SparseQ":
+        den = lcm(self.den, other.den)
+        out = (den // self.den) * self
+        scale = den // other.den
+        for r, row in other.rows.items():
+            acc = out.rows.setdefault(r, {})
+            for c, v in row.items():
+                acc[c] = acc.get(c, 0) + scale * v
+        return SparseQ(out.rows, den)
+
+    def __rmul__(self, c) -> "SparseQ":
+        """Scalar multiple by an int or a Fraction."""
+        num, den = c.numerator, c.denominator
+        return SparseQ({r: {k: num * v for k, v in row.items()} for r, row in self.rows.items()},
+                       self.den * den)
+
+    def __sub__(self, other: "SparseQ") -> "SparseQ":
+        return self + (-1) * other
+
+    def maxabs(self) -> Fraction:
+        """max |entry|, exactly."""
+        return Fraction(max((abs(v) for row in self.rows.values() for v in row.values()),
+                            default=0), self.den)
+
+    def trace_of_product(self, other: "SparseQ") -> Fraction:
+        """tr(self @ other), exactly, without forming the product."""
+        acc = 0
+        for r, row in self.rows.items():
+            for k, v in row.items():
+                acc += v * other.rows.get(k, {}).get(r, 0)
+        return Fraction(acc, self.den * other.den)
+
+
+def ad(g, x: dict, den: int = 1) -> SparseQ:
+    """Matrix of ad(v) for v = sum_i x[i] b_i / den: column j holds [v, b_j].
+
+    ``g`` is a :class:`~heiscot.lie_core.LieAlgebra`; its structure
+    constants enter through ``bracket_sparse``, over their common
+    denominator, so ``x`` holds ints.
+    """
+    dc = lcm(*(c.denominator for *_, c in g.constants))
+    rows: dict = {}
+    for i, xi in x.items():
+        if not xi:
+            continue
+        for j in range(g.dim):
+            for k, c in g.bracket_sparse(i, j):
+                row = rows.setdefault(k, {})
+                row[j] = row.get(j, 0) + xi * c.numerator * (dc // c.denominator)
+    return SparseQ(rows, den * dc)

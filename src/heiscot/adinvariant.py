@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _exact
-from ._exact import fr, fzeros, feye, is_exact, to_float
+from ._exact import SparseQ, ad, fr, fzeros, feye, is_exact, to_float
 from .automorphism import AutParams, Automorphism, assemble
 from .curvature import is_flat, levi_civita, riemann
 from .lie_core import LieAlgebra
@@ -58,21 +58,28 @@ def pairing_metric(n: int, exact: bool = False) -> np.ndarray:
     return p
 
 
-def ad_invariance_defect(g: LieAlgebra, s: np.ndarray) -> float:
-    """max |<[x,y],w> + <y,[x,w]>| over basis triples, i.e. max |ad_x^T s + s ad_x|."""
-    exact = is_exact(s)
+def ad_invariance_defect(g: LieAlgebra, s: np.ndarray):
+    """max |<[x,y],w> + <y,[x,w]>| over basis triples, i.e. max |ad_x^T s + s ad_x|.
+
+    A Fraction for exact input, a float otherwise.
+    """
+    if is_exact(s):
+        sq = SparseQ.from_dense(s)
+        worst = Fraction(0)
+        for x in range(g.dim):
+            ax = ad(g, {x: 1})
+            worst = max(worst, (ax.T @ sq + sq @ ax).maxabs())
+        return worst
     worst = 0.0
     for x in range(g.dim):
-        ax = g.ad_basis(x, exact=exact)
-        m = ax.T @ s + s @ ax
-        if exact:
-            m = to_float(m)
-        worst = max(worst, float(np.abs(m).max()))
+        ax = g.ad_basis(x)
+        worst = max(worst, float(np.abs(ax.T @ s + s @ ax).max()))
     return worst
 
 
 def is_ad_invariant(g: LieAlgebra, s: np.ndarray, tol: float = 1e-12) -> bool:
-    bound = 0.0 if is_exact(s) else tol * max(1.0, float(np.abs(to_float(s)).max()))
+    """Zero defect, exactly for exact input, else within tol relative to max |s|."""
+    bound = 0 if is_exact(s) else tol * max(1.0, float(np.abs(s).max()))
     return ad_invariance_defect(g, s) <= bound
 
 
@@ -221,22 +228,21 @@ def certify_flat(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> dict:
     """Check nabla = ad/2 and R = 0 for an ad-invariant metric.
 
     Runs the generic Koszul/curvature pipeline, not the bi-invariant
-    shortcut, and reports both defects.  Exact input certifies exactly.
+    shortcut, and reports both defects.  Exact input certifies exactly:
+    both defects are then Fractions.
     """
     exact = is_exact(s)
     gamma = levi_civita(g, s)
-    d = g.dim
-    worst = 0.0
-    for i in range(d):
-        half_ad = (Fraction(1, 2) if exact else 0.5) * g.ad_basis(i, exact=exact)
-        diff = gamma[i] - half_ad.T
-        if exact:
-            diff = to_float(diff)
-        worst = max(worst, float(np.abs(diff).max()))
+    half = Fraction(1, 2) if exact else 0.5
+    diff = np.array([gamma[i] - half * g.ad_basis(i, exact=exact).T for i in range(g.dim)])
     riem = riemann(g, gamma)
-    rmax = float(np.abs(to_float(riem) if exact else riem).max())
+    if exact:
+        half_ad, rmax = (max((abs(x) for x in a.ravel() if x), default=Fraction(0))
+                         for a in (diff, riem))
+    else:
+        half_ad, rmax = (float(np.abs(a).max()) for a in (diff, riem))
     return {
-        "half_ad_defect": worst,
+        "half_ad_defect": half_ad,
         "riemann_max": rmax,
         "flat": is_flat(riem, tol=0.0 if exact else tol),
     }

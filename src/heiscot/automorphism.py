@@ -116,11 +116,20 @@ class Automorphism:
 def bracket_defect(m: np.ndarray, g: LieAlgebra):
     """max |M[b_i,b_j] - [Mb_i, Mb_j]| over basis pairs; Fraction in exact mode."""
     d = g.dim
-    exact = _exact.is_exact(m)
-    worst = Fraction(0) if exact else 0.0
+    if _exact.is_exact(m):
+        sm = _exact.SparseQ.from_dense(m)
+        cols = sm.T.rows
+        worst = Fraction(0)
+        for i in range(d):
+            # column j is M[b_i, b_j] - [Mb_i, Mb_j]; columns j <= i repeat
+            # pairs already seen, up to sign, or vanish
+            diff = sm @ _exact.ad(g, {i: 1}) - _exact.ad(g, cols.get(i, {}), sm.den) @ sm
+            worst = max(worst, diff.maxabs())
+        return worst
+    worst = 0.0
     for i in range(d):
         for j in range(i + 1, d):
-            lhs = m @ g.bracket_basis(i, j, exact=exact)
+            lhs = m @ g.bracket_basis(i, j, exact=False)
             rhs = g.bracket(m[:, i], m[:, j])
             diff = lhs - rhs
             worst = max(worst, max(abs(x) for x in diff))

@@ -429,15 +429,11 @@ def _kahler_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
 
 
 def _curvature_checks(n: int, seed: int, tol: float, exact: bool,
-                      metric_path: str | None = None) -> list[Check]:
+                      metric: np.ndarray | None = None) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
-    if metric_path is not None:
-        with open(metric_path) as fh:
-            payload = json.load(fh)
-        s = np.array(payload["matrix"], dtype=float)
-        if s.shape != (g.dim, g.dim):
-            raise SystemExit(f"metric file is {s.shape}, expected {(g.dim, g.dim)}")
+    if metric is not None:
+        s = metric
         gam = levi_civita(g, s)
         rt = riemann(g, gam)
         scale = max(1.0, np.abs(s).max())
@@ -537,11 +533,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+class BadInput(ValueError):
+    """Unusable command-line input; reported in one line with exit code 2."""
+
+
+def _load_metric(path: str, n: int | None) -> tuple[int, np.ndarray]:
+    """(n, matrix) from a ``{"n": ..., "matrix": [[...]]}`` file.
+
+    n comes from --n, else from the file, else defaults to 1; the two must
+    agree when both are given.  The matrix must be a finite, symmetric,
+    nonsingular (4n+2) x (4n+2) array.
+    """
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise BadInput(f"cannot read metric file {path}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BadInput(f"metric file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or "matrix" not in payload:
+        raise BadInput('metric file must hold an object {"n": ..., "matrix": [[...]]}')
+    file_n = payload.get("n")
+    if file_n is not None and (type(file_n) is not int or file_n < 1):
+        raise BadInput(f"metric file has n = {file_n!r}, expected an integer >= 1")
+    if n is not None and file_n is not None and n != file_n:
+        raise BadInput(f"--n {n} disagrees with n = {file_n} in the metric file")
+    n = n or file_n or 1
+    try:
+        s = np.array(payload["matrix"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadInput("metric matrix must be an array of numbers") from exc
+    d = 4 * n + 2
+    if s.shape != (d, d):
+        raise BadInput(f"metric matrix has shape {s.shape}, expected {(d, d)} for n = {n}")
+    if not np.isfinite(s).all():
+        raise BadInput("metric matrix has non-finite entries")
+    if np.abs(s - s.T).max() > 1e-12 * max(1.0, np.abs(s).max()):
+        raise BadInput("metric matrix is not symmetric")
+    if np.linalg.matrix_rank(s) < d:
+        raise BadInput("metric matrix is singular")
+    return n, s
+
+
 def _run_verb(verb: str, n: int, seed: int, tol: float, exact: bool,
-              metric: str | None) -> dict:
+              metric: np.ndarray | None) -> dict:
     t0 = time.perf_counter()
     if verb == "curvature":
-        checks = _curvature_checks(n, seed, tol, exact, metric_path=metric)
+        checks = _curvature_checks(n, seed, tol, exact, metric=metric)
     else:
         checks = _VERBS[verb](n, seed, tol, exact)
     elapsed = int(1000 * (time.perf_counter() - t0))
@@ -575,6 +613,13 @@ def run(argv: list[str] | None = None) -> int:
     if args.n is not None and args.n < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return 2
+    metric = None
+    if args.command == "curvature" and args.metric is not None:
+        try:
+            args.n, metric = _load_metric(args.metric, args.n)
+        except BadInput as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.command == "all":
         ns = [args.n] if args.n is not None else [1, 2, 3]
         verbs = ["algebra", "aut", "reduce", "equiv", "adinv", "complex", "kahler", "curvature"]
@@ -582,7 +627,7 @@ def run(argv: list[str] | None = None) -> int:
                    for n in ns for v in verbs]
     else:
         n = args.n if args.n is not None else 1
-        reports = [_run_verb(args.command, n, args.seed, args.tol, args.exact, args.metric)]
+        reports = [_run_verb(args.command, n, args.seed, args.tol, args.exact, metric)]
     if args.as_json:
         payload = reports[0] if len(reports) == 1 else reports
         print(json.dumps(payload, indent=2, default=str))

@@ -11,8 +11,10 @@ operator R(x, y) = [nabla_x, nabla_y] - nabla_[x, y], its Ricci trace,
 and for two-step nilpotent algebras a second, independent Ricci formula
 that bypasses the connection entirely.  Every function accepts either a
 float matrix or a Fraction (dtype=object) matrix and keeps the
-arithmetic exact in the second case; only matrix inversion dispatches on
-the dtype.
+arithmetic exact in the second case.  The exact branches of the
+connection, the curvature tensor and the nilpotent Ricci traces run on
+the sparse integer kernel :class:`heiscot._exact.SparseQ`; the float
+branches are dense numpy.
 
 Index conventions: gamma[i, j, :] are the coordinates of nabla_{b_i} b_j,
 riem[i, j, k, :] those of R(b_i, b_j) b_k.
@@ -24,8 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact import SparseQ, ad, fzeros, is_exact, ldl_inertia, to_float
 from ._exact import inv as _exact_inv
-from ._exact import is_exact, ldl_inertia, to_float
 from .lie_core import LieAlgebra
 
 __all__ = [
@@ -46,14 +48,6 @@ __all__ = [
 
 def _inv(a: np.ndarray) -> np.ndarray:
     return _exact_inv(a) if is_exact(a) else np.linalg.inv(a)
-
-
-def _zeros(shape, exact: bool) -> np.ndarray:
-    if not exact:
-        return np.zeros(shape)
-    z = np.empty(shape, dtype=object)
-    z[...] = Fraction(0)
-    return z
 
 
 def _maxabs(a: np.ndarray) -> float:
@@ -80,14 +74,26 @@ def levi_civita(g: LieAlgebra, s: np.ndarray) -> np.ndarray:
     -----
     No definiteness is assumed; any nondegenerate symmetric s works.
     The three Koszul terms are accumulated sparsely over the structure
-    constants, so the cost is dominated by the final d^2 solves.
+    constants, so the cost is dominated by the final d^2 solves.  Exact
+    input takes them from the sparse ad matrices and multiplies by s^{-1}
+    over ints, with one division per entry at the end.
     """
     d = g.dim
-    exact = is_exact(s)
-    rhs = _zeros((d, d, d), exact)
+    if is_exact(s):
+        sq = SparseQ.from_dense(s)
+        sinv_t = SparseQ.from_dense(_exact_inv(s).T)
+        # p[j][a, w] = <b_a, [b_j, b_w]>, so the Koszul right-hand side for
+        # fixed i is p[i].T - p[i] - q with q[j, w] = p[j][i, w]
+        p = [sq.T @ ad(g, {j: 1}) for j in range(d)]
+        gamma = fzeros((d, d, d))
+        for i in range(d):
+            q = SparseQ({j: pj.rows[i] for j, pj in enumerate(p) if i in pj.rows}, p[i].den)
+            gamma[i] = (Fraction(1, 2) * ((p[i].T - p[i] - q) @ sinv_t)).dense((d, d))
+        return gamma
+    rhs = np.zeros((d, d, d))
     # <[a,b],.> enters three times; walk the constants once per term
     for (a, b, k, v) in g.constants:
-        c = v if exact else float(v)
+        c = float(v)
         # term <[i,j], w>: (i,j) = (a,b) and the flip
         rhs[a, b, :] += c * s[k, :]
         rhs[b, a, :] -= c * s[k, :]
@@ -97,11 +103,10 @@ def levi_civita(g: LieAlgebra, s: np.ndarray) -> np.ndarray:
         # term <[w,i], j>: (w,i) = (a,b) and the flip
         rhs[b, :, a] += c * s[k, :]
         rhs[a, :, b] -= c * s[k, :]
-    sinv_t = _inv(s).T
-    half = Fraction(1, 2) if exact else 0.5
-    gamma = _zeros((d, d, d), exact)
+    sinv_t = np.linalg.inv(s).T
+    gamma = np.zeros((d, d, d))
     for i in range(d):
-        gamma[i] = half * (rhs[i] @ sinv_t)
+        gamma[i] = 0.5 * (rhs[i] @ sinv_t)
     return gamma
 
 
@@ -112,16 +117,27 @@ def riemann(g: LieAlgebra, gamma: np.ndarray) -> np.ndarray:
     R(x, y) = nabla_x nabla_y - nabla_y nabla_x - nabla_[x, y].
     """
     d = g.dim
-    exact = is_exact(gamma)
+    if is_exact(gamma):
+        # with G_i = gamma[i] (row k = nabla_i b_k), R(b_i, b_j) in the same
+        # layout is G_j G_i - G_i G_j - sum_k c_ij^k G_k
+        ops = [SparseQ.from_dense(gamma[i]) for i in range(d)]
+        riem = fzeros((d, d, d, d))
+        for i in range(d):
+            for j in range(i + 1, d):
+                block = ops[j] @ ops[i] - ops[i] @ ops[j]
+                for (k, v) in g.bracket_sparse(i, j):
+                    block = block - v * ops[k]
+                riem[i, j] = block.dense((d, d))
+                riem[j, i] = -riem[i, j]
+        return riem
     # ops[i] acts on coordinate vectors: column k = nabla_{b_i} b_k
     ops = [gamma[i].T.copy() for i in range(d)]
-    riem = _zeros((d, d, d, d), exact)
+    riem = np.zeros((d, d, d, d))
     for i in range(d):
         for j in range(i + 1, d):
             block = ops[i] @ ops[j] - ops[j] @ ops[i]
             for (k, v) in g.bracket_sparse(i, j):
-                c = v if exact else float(v)
-                block = block - c * ops[k]
+                block = block - float(v) * ops[k]
             riem[i, j] = block.T
             riem[j, i] = -block.T
     return riem
@@ -130,8 +146,7 @@ def riemann(g: LieAlgebra, gamma: np.ndarray) -> np.ndarray:
 def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
     """Ricci tensor ric(y, z) = trace of x -> R(x, y) z."""
     d = riem.shape[0]
-    exact = is_exact(riem)
-    ric = _zeros((d, d), exact)
+    ric = fzeros((d, d)) if is_exact(riem) else np.zeros((d, d))
     for y in range(d):
         for z in range(d):
             acc = riem[0, y, z, 0]
@@ -174,24 +189,39 @@ def ricci_nilpotent_summands(g: LieAlgebra, s: np.ndarray) -> tuple[np.ndarray, 
     if not g.is_two_step_nilpotent():
         raise ValueError("nilpotent Ricci formula requires a 2-step nilpotent algebra")
     d = g.dim
-    exact = is_exact(s)
-    sinv = _inv(s)
-    ad = [g.ad_basis(u, exact=exact) for u in range(d)]
-    adstar = [sinv @ a.T @ s for a in ad]
+    if is_exact(s):
+        sq = SparseQ.from_dense(s)
+        sinv = SparseQ.from_dense(_exact_inv(s))
+        ads = [ad(g, {u: 1}) for u in range(d)]
+        adstar = [sinv @ a.T @ sq for a in ads]
+        # ju[u][a, w] = adstar[w][a, u]
+        ju = [SparseQ({}, adstar[0].den) for _ in range(d)]
+        for w, m in enumerate(adstar):
+            for a, row in m.rows.items():
+                for u, x in row.items():
+                    ju[u].rows.setdefault(a, {})[w] = x
+        one = fzeros((d, d))
+        two = fzeros((d, d))
+        for u in range(d):
+            for v in range(u, d):
+                one[u, v] = one[v, u] = Fraction(-1, 4) * ju[u].trace_of_product(ju[v])
+                two[u, v] = two[v, u] = Fraction(-1, 2) * ads[u].trace_of_product(adstar[v])
+        return one, two
+    sinv = np.linalg.inv(s)
+    ad_f = [g.ad_basis(u) for u in range(d)]
+    adstar = [sinv @ a.T @ s for a in ad_f]
     ju = []
     for u in range(d):
-        m = _zeros((d, d), exact)
+        m = np.zeros((d, d))
         for w in range(d):
             m[:, w] = adstar[w][:, u]
         ju.append(m)
-    quarter = Fraction(1, 4) if exact else 0.25
-    half = Fraction(1, 2) if exact else 0.5
-    one = _zeros((d, d), exact)
-    two = _zeros((d, d), exact)
+    one = np.zeros((d, d))
+    two = np.zeros((d, d))
     for u in range(d):
         for v in range(u, d):
-            t1 = -quarter * (ju[u] * ju[v].T).sum()
-            t2 = -half * (ad[u] * adstar[v].T).sum()
+            t1 = -0.25 * (ju[u] * ju[v].T).sum()
+            t2 = -0.5 * (ad_f[u] * adstar[v].T).sum()
             one[u, v] = t1
             one[v, u] = t1
             two[u, v] = t2
@@ -294,5 +324,11 @@ def second_bianchi_defect(g: LieAlgebra, gamma: np.ndarray, riem: np.ndarray) ->
 
 
 def is_flat(riem: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when every curvature entry is below tol in absolute value."""
+    """True when every curvature entry is below tol in absolute value.
+
+    Exact input is flat only when every entry is exactly zero; tol is then
+    not used.
+    """
+    if is_exact(riem):
+        return not any(riem.ravel())
     return _maxabs(riem) <= tol

@@ -490,15 +490,15 @@ def certify_pseudo_kahler(params: OmegaParams) -> dict:
         dv = max(abs(x) for x in np.asarray(m).ravel())
         return (dv == 0) if exact else (float(dv) <= 1e-9 * max(1.0, float(np.abs(np.asarray(s, dtype=float)).max()) ** 2))
 
-    flat = is_flat(np.asarray(riem, dtype=float) if exact else riem)
+    flat = is_flat(riem)
     witness = None
     if not flat:
         blocks = [(0, n)] + [(i, j) for i in range(g.dim) for j in range(i + 1, g.dim)]
         for (i, j) in blocks:
             comp = riem[i, j]
-            flatc = np.asarray(comp, dtype=float)
-            if np.abs(flatc).max() > 1e-10:
-                kk, ll = np.unravel_index(np.abs(flatc).argmax(), flatc.shape)
+            mags = np.abs(comp)
+            if mags.max() > (0 if exact else 1e-10):
+                kk, ll = np.unravel_index(mags.argmax(), mags.shape)
                 witness = (g.basis_names[i], g.basis_names[j], g.basis_names[kk],
                            g.basis_names[ll], comp[kk, ll])
                 break

@@ -115,14 +115,16 @@ class LieAlgebra:
         b = np.asarray(b)
         if a.shape != (self.dim,) or b.shape != (self.dim,):
             raise ValueError("element dimension mismatch")
-        exact = _exact.is_exact(a) and _exact.is_exact(b)
-        out = fzeros(self.dim) if exact else np.zeros(self.dim)
+        if _exact.is_exact(a) and _exact.is_exact(b):
+            y = _exact.SparseQ.from_dense(b[:, None])
+            return (self._ad_sparse(a) @ y).dense((self.dim, 1)).ravel()
+        out = np.zeros(self.dim)
         for (i, j), terms in self._lookup.items():
             if i < j:
                 coef = a[i] * b[j] - a[j] * b[i]
-                if exact or coef != 0:
+                if coef != 0:
                     for (k, v) in terms:
-                        out[k] += coef * (v if exact else float(v))
+                        out[k] += coef * float(v)
         return out
 
     def ad_matrix(self, a: np.ndarray) -> np.ndarray:
@@ -130,13 +132,19 @@ class LieAlgebra:
         a = np.asarray(a)
         if a.shape != (self.dim,):
             raise ValueError("element dimension mismatch")
-        exact = _exact.is_exact(a)
-        out = fzeros((self.dim, self.dim)) if exact else np.zeros((self.dim, self.dim))
+        if _exact.is_exact(a):
+            return self._ad_sparse(a).dense((self.dim, self.dim))
+        out = np.zeros((self.dim, self.dim))
         for (i, j), terms in self._lookup.items():
             if a[i] != 0:
                 for (k, v) in terms:
-                    out[k, j] += a[i] * (v if exact else float(v))
+                    out[k, j] += a[i] * float(v)
         return out
+
+    def _ad_sparse(self, a: np.ndarray) -> "_exact.SparseQ":
+        """ad(a) of an exact coordinate vector as a sparse integer matrix."""
+        x = _exact.SparseQ.from_dense(a[None, :])
+        return _exact.ad(self, x.rows.get(0, {}), x.den)
 
     def center(self) -> list[np.ndarray]:
         """Exact basis of the center, as Fraction coordinate vectors."""

@@ -6,8 +6,8 @@ from heiscot.lie_core import build_thn
 
 @pytest.fixture(scope="session")
 def algebras():
-    """T*h(2n+1) for n = 1..3, built once."""
-    return {n: build_thn(n) for n in (1, 2, 3)}
+    """T*h(2n+1) for n = 1..4, built once."""
+    return {n: build_thn(n) for n in (1, 2, 3, 4)}
 
 
 @pytest.fixture

@@ -61,6 +61,19 @@ def test_flat_and_half_ad(algebras, n):
     p = pairing_metric(n, exact=True)
     cert = certify_flat(p, g)
     assert cert["flat"] and cert["riemann_max"] == 0 and cert["half_ad_defect"] == 0
+    assert type(cert["riemann_max"]) is Fraction and type(cert["half_ad_defect"]) is Fraction
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tiny_exact_perturbation_breaks_invariance(algebras, n):
+    g = algebras[n]
+    m = 2 * n + 1
+    p = pairing_metric(n, exact=True)
+    p[m, m] += Fraction(1, 10**400)
+    assert not is_ad_invariant(g, p)
+    assert ad_invariance_defect(g, p) == Fraction(1, 10**400)
+    cert = certify_flat(p, g)
+    assert 0 < cert["half_ad_defect"] < Fraction(1, 10**399)
 
 
 def test_quarter_ad_curvature_route(algebras):

@@ -90,3 +90,38 @@ def test_sweep_emits_json_array(capsys):
         ("algebra", 2), ("aut", 2), ("reduce", 2), ("complex", 2), ("kahler", 2),
         ("algebra", 3), ("aut", 3), ("reduce", 3), ("complex", 3), ("kahler", 3),
     }
+
+
+def _metric_file(tmp_path, payload, raw=None):
+    path = tmp_path / "metric.json"
+    path.write_text(raw if raw is not None else json.dumps(payload))
+    return str(path)
+
+
+def _spd(n):
+    return random_positive_definite(build_thn(n), np.random.default_rng(0)).tolist()
+
+
+@pytest.mark.parametrize("argv, payload, raw", [
+    ([], None, '{"n": 1, "matrix": [[1, 0],'),                    # malformed JSON
+    ([], {"n": 2, "matrix": _spd(1)}, None),                       # file n vs its matrix
+    (["--n", "1"], {"n": 2, "matrix": _spd(2)}, None),             # file n vs --n
+    ([], {"n": 1, "matrix": [[0.0] * 6] * 6}, None),               # singular
+    ([], {"n": 1, "matrix": [[1.0] * 6, [2.0] * 6] + [[0.0] * 6] * 4}, None),
+    ([], [1, 2, 3], None),                                         # no matrix
+])
+def test_bad_metric_file_exits_2_with_one_line(tmp_path, capsys, argv, payload, raw):
+    path = _metric_file(tmp_path, payload, raw)
+    code = run(["curvature", "--metric", path, *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_metric_file_n_used_without_flag(tmp_path, capsys):
+    path = _metric_file(tmp_path, {"n": 2, "matrix": _spd(2)})
+    code, out = _capture(capsys, ["curvature", "--metric", path, "--json"])
+    assert code == 0
+    assert json.loads(out)["n"] == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heiscot._exact import feye, fmat, to_float
+from heiscot._exact import feye, fmat, fzeros, to_float
 from heiscot.adinvariant import pairing_metric
 from heiscot.curvature import (
     compatibility_defect,
@@ -85,7 +85,7 @@ def test_connection_properties_random(algebras, rng, n):
     assert second_bianchi_defect(g, gam, riem) <= 1e-7 * scale * scale
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ricci_routes_agree_exact_spd(algebras, rng, n):
     g = algebras[n]
     for _ in range(3):
@@ -99,7 +99,7 @@ def test_ricci_routes_agree_exact_spd(algebras, rng, n):
         assert (one + two == r2).all()
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_ricci_routes_agree_exact_indefinite(algebras, rng, n):
     g = algebras[n]
     for _ in range(3):
@@ -133,3 +133,11 @@ def test_signature_exact_and_float():
     m = fmat([[2, 0], [0, -3]])
     assert signature(m) == (1, 1, 0)
     assert signature(np.diag([1.0, -1.0, 0.0])) == (1, 1, 1)
+
+
+def test_exact_flatness_is_exact_zero():
+    riem = fzeros((2, 2, 2, 2))
+    assert is_flat(riem)
+    riem[0, 1, 0, 1] = Fraction(1, 10**400)
+    assert not is_flat(riem)
+    assert not is_flat(riem, tol=1.0)
