@@ -15,7 +15,9 @@ bracket checks: a rational matrix held as dict-of-rows Python ints over one
 common denominator.  Products, sums and the ad action then run over ints
 (Bareiss's fraction-free idea, Math. Comp. 22, 1968) and touch only the
 nonzero entries; Fractions appear again only when a result is converted
-back to a dense array.
+back to a dense array.  :func:`congruence_defect` (max |F^T S F - P|) runs
+on it, and :func:`maxabs` is the one max-|entry| helper of the package:
+exact on object arrays, float otherwise.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "fzeros",
     "is_exact",
     "to_float",
+    "maxabs",
     "inv",
     "solve",
     "det",
@@ -41,6 +44,7 @@ __all__ = [
     "ldl_inertia",
     "SparseQ",
     "ad",
+    "congruence_defect",
 ]
 
 
@@ -91,6 +95,22 @@ def is_exact(a) -> bool:
 
 def to_float(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float)
+
+
+def maxabs(a):
+    """max |entry| of an array: exact on object input, a float otherwise; 0 when empty."""
+    a = np.asarray(a)
+    if is_exact(a):
+        return max((abs(x) for x in a.ravel()), default=Fraction(0))
+    return float(np.abs(a).max()) if a.size else 0.0
+
+
+def congruence_defect(f: np.ndarray, s: np.ndarray, p: np.ndarray):
+    """max |F^T S F - P|; exact, over :class:`SparseQ`, when all three are exact."""
+    if is_exact(f) and is_exact(s) and is_exact(p):
+        fq = SparseQ.from_dense(f)
+        return (fq.T @ SparseQ.from_dense(s) @ fq - SparseQ.from_dense(p)).maxabs()
+    return maxabs(f.T @ s @ f - p)
 
 
 def inv(a: np.ndarray) -> np.ndarray:

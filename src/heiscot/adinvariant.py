@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _exact
-from ._exact import SparseQ, ad, fr, fzeros, feye, is_exact, to_float
+from ._exact import SparseQ, ad, congruence_defect, fr, fzeros, feye, is_exact, maxabs, to_float
 from .automorphism import AutParams, Automorphism, assemble
 from .curvature import is_flat, levi_civita, riemann
 from .lie_core import LieAlgebra
@@ -128,23 +128,18 @@ def ad_invariant_solution_space(g: LieAlgebra) -> list[np.ndarray]:
     return basis
 
 
-def template_defect(s: np.ndarray, n: int) -> tuple[float, object]:
+def template_defect(s: np.ndarray, n: int) -> tuple[object, object]:
     """Distance of s from the block template [[Sbar, alpha E], [alpha E, 0]].
 
-    Returns (defect, alpha) with alpha read off the (e_1, e*_1) entry.
-    Zero defect for every ad-invariant form; the check is what makes the
-    template a theorem here rather than an ansatz.
+    Returns (defect, alpha) with alpha read off the (e_1, e*_1) entry; the
+    defect is a Fraction for exact input, a float otherwise.  Zero defect
+    for every ad-invariant form; the check is what makes the template a
+    theorem here rather than an ansatz.
     """
     m = 2 * n + 1
     alpha = s[0, m]
-    exact = is_exact(s)
-    eye = feye(m) if exact else np.eye(m)
-    cross = s[:m, m:] - alpha * eye
-    corner = s[m:, m:]
-    if exact:
-        cross, corner = to_float(cross), to_float(corner)
-    defect = max(float(np.abs(cross).max()), float(np.abs(corner).max()))
-    return defect, alpha
+    eye = feye(m) if is_exact(s) else np.eye(m)
+    return max(maxabs(s[:m, m:] - alpha * eye), maxabs(s[m:, m:])), alpha
 
 
 def random_ad_invariant(g: LieAlgebra, rng: np.random.Generator,
@@ -170,7 +165,7 @@ class NormalizedAdInvariant:
 
     automorphism: Automorphism
     alpha: object
-    residual: float
+    residual: object
 
 
 def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> NormalizedAdInvariant:
@@ -181,8 +176,9 @@ def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> 
         Fbar1 = E, u1 = v1 = 0, f1 = 1/alpha, F3 = -Sbar F1 / (2 alpha)
 
     do it: the F3 term cancels Sbar against the cross pairing, and the
-    induced F4 = diag(E/alpha, 1) rescales the cross block to E.  Exact
-    input gives residual exactly zero.
+    induced F4 = diag(E/alpha, 1) rescales the cross block to E.  The
+    residual max |F^T s F - pairing| is a Fraction for exact input, and
+    then exactly zero.
 
     Raises
     ------
@@ -216,9 +212,7 @@ def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> 
         F3=f3,
     )
     aut = assemble(params, g, tol=tol)
-    p = pairing_metric(n, exact=exact)
-    resid = aut.matrix.T @ s @ aut.matrix - p
-    residual = float(np.abs(to_float(resid) if exact else resid).max())
+    residual = congruence_defect(aut.matrix, s, pairing_metric(n, exact=exact))
     if residual > (0 if exact else tol * scale):
         raise ValueError(f"normalization residual {residual} out of tolerance")
     return NormalizedAdInvariant(automorphism=aut, alpha=alpha, residual=residual)

@@ -114,26 +114,27 @@ class Automorphism:
 
 
 def bracket_defect(m: np.ndarray, g: LieAlgebra):
-    """max |M[b_i,b_j] - [Mb_i, Mb_j]| over basis pairs; Fraction in exact mode."""
-    d = g.dim
+    """max |M[b_i,b_j] - [Mb_i, Mb_j]| over basis pairs; Fraction in exact mode.
+
+    Exact input compares M ad(b_i) with ad(Mb_i) M over :class:`SparseQ`.
+    Float input evaluates every pair at once from the structure tensor C:
+    M[b_i, b_j] is one contraction of C with M, and [Mb_i, Mb_j] contracts
+    C with M on both input slots.
+    """
     if _exact.is_exact(m):
         sm = _exact.SparseQ.from_dense(m)
         cols = sm.T.rows
         worst = Fraction(0)
-        for i in range(d):
+        for i in range(g.dim):
             # column j is M[b_i, b_j] - [Mb_i, Mb_j]; columns j <= i repeat
             # pairs already seen, up to sign, or vanish
             diff = sm @ _exact.ad(g, {i: 1}) - _exact.ad(g, cols.get(i, {}), sm.den) @ sm
             worst = max(worst, diff.maxabs())
         return worst
-    worst = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs = m @ g.bracket_basis(i, j, exact=False)
-            rhs = g.bracket(m[:, i], m[:, j])
-            diff = lhs - rhs
-            worst = max(worst, max(abs(x) for x in diff))
-    return worst
+    c = g.structure_tensor
+    lhs = np.tensordot(c, m, axes=(2, 1))
+    rhs = np.tensordot(np.tensordot(m, c, axes=(0, 0)), m, axes=(1, 0)).transpose(0, 2, 1)
+    return _exact.maxabs((lhs - rhs)[np.triu_indices(g.dim, 1)])
 
 
 def is_automorphism(m: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> bool:

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _exact
-from ._exact import to_float
+from ._exact import maxabs, to_float
 from .adinvariant import (
     ad_invariant_solution_space,
     ad_invariance_defect,
@@ -314,7 +314,7 @@ def _complex_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
     conj = _exact.solve(refl.matrix, j0 @ refl.matrix)
     out.append(_check(
         "signs_are_one_orbit",
-        max(abs(x) for x in (conj + j0).ravel()) == 0,
+        maxabs(conj + j0) == 0,
         "an explicit reflection conjugates the reference structure to its negative",
     ))
     fam = solve_integrable_family(n)
@@ -422,7 +422,7 @@ def _kahler_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
     rt = riemann(g, gam)
     out.append(_check(
         "pairing_contrast_flat",
-        max(abs(x) for x in rt.ravel()) == 0,
+        is_flat(rt),
         "the invariant pairing metric is flat; the induced metrics are not",
     ))
     return out

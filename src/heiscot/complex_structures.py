@@ -27,6 +27,17 @@ are easy to get wrong:
   members lie outside the orbit.  Normalization reports these honestly via
   :class:`NotInFamily`.
 
+Integrability is decided by two routes that must agree.  The pairwise
+route evaluates the bilinear Nijenhuis tensor N_J(b_i, b_k) on every
+basis pair at once, contracting J with the structure constants; the
+operator route composes whole matrices, ad_x + J ad_{Jx} + J ad_x J -
+ad_{Jx} J for each basis x.  Both read the same structure constants,
+but one sums pair values and the other multiplies operators, so a slip
+in either contraction shows up as disagreement.  Exact input runs both
+over Python ints (the pairwise route over one common denominator, the
+operator route on :class:`heiscot._exact.SparseQ`) and gives Fractions;
+float input contracts ``LieAlgebra.structure_tensor`` with numpy.
+
 Normalization itself runs in two tiers.  Members of the block family are
 recognized by pattern matching and normalized by a closed-form recipe that
 is exact in rational mode.  Everything else goes through an adapted-basis
@@ -39,13 +50,15 @@ conjugating J to J0.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from . import _exact
-from ._exact import feye, fzeros, nullspace_sparse
+from ._exact import SparseQ, ad, congruence_defect, feye, fzeros, maxabs, nullspace_sparse
 from .automorphism import AutParams, Automorphism, assemble, is_automorphism
 from .lie_core import LieAlgebra, standard_symplectic
 
@@ -105,17 +118,14 @@ def standard_complex_structure(n: int, exact: bool = False) -> np.ndarray:
     return out
 
 
-def _maxabs(a):
-    flat = np.asarray(a).ravel()
-    return max(abs(x) for x in flat)
-
-
 def almost_complex_defect(j: np.ndarray):
     """max |J^2 + Id|; Fraction 0 is the exact pass."""
     j = np.asarray(j)
     d = j.shape[0]
-    eye = feye(d) if _exact.is_exact(j) else np.eye(d)
-    return _maxabs(j @ j + eye)
+    if _exact.is_exact(j):
+        jq = SparseQ.from_dense(j)
+        return (jq @ jq + SparseQ({i: {i: 1} for i in range(d)})).maxabs()
+    return maxabs(j @ j + np.eye(d))
 
 
 def nijenhuis(j: np.ndarray, a: np.ndarray, b: np.ndarray, g: LieAlgebra) -> np.ndarray:
@@ -135,42 +145,72 @@ def nijenhuis(j: np.ndarray, a: np.ndarray, b: np.ndarray, g: LieAlgebra) -> np.
 
 
 def nijenhuis_defect(j: np.ndarray, g: LieAlgebra):
-    """max |N_J(b_i, b_j)| over basis pairs (i < j suffices by antisymmetry)."""
+    """max |N_J(b_i, b_k)| over basis pairs, every pair in one bilinear pass.
+
+    With A[i, k] = [J b_i, b_k] = sum_a J_ai [b_a, b_k] and
+    W[i, k] = [J b_i, J b_k] = sum_b J_bk A[i, b], the Nijenhuis tensor on
+    basis pairs is c_ik + J (A[i, k] - A[k, i]) - W[i, k], because
+    [b_i, J b_k] = -A[k, i].  Float input contracts ``structure_tensor``;
+    exact input walks the nonzero structure constants with J scaled to
+    ints over its common denominator D, so all four terms are ints over
+    D^2 times the constants' denominator and one Fraction is built at the
+    end.  N is antisymmetric, so its max over all pairs is the max over
+    i < k.
+    """
     j = np.asarray(j)
-    d = g.dim
-    worst = Fraction(0) if _exact.is_exact(j) else 0.0
-    for i in range(d):
-        for k in range(i + 1, d):
-            worst = max(worst, _maxabs(nijenhuis(j, _basis(j, i), _basis(j, k), g)))
-    return worst
-
-
-def _basis(j: np.ndarray, i: int) -> np.ndarray:
-    d = j.shape[0]
-    if _exact.is_exact(j):
-        out = fzeros(d)
-        out[i] = Fraction(1)
-        return out
-    out = np.zeros(d)
-    out[i] = 1.0
-    return out
+    if not _exact.is_exact(j):
+        c = g.structure_tensor
+        a = np.tensordot(j, c, axes=(0, 0))
+        w = np.tensordot(a, j, axes=(1, 0)).transpose(0, 2, 1)
+        nij = c + (a - a.transpose(1, 0, 2)) @ j.T - w
+        return maxabs(nij[np.triu_indices(g.dim, 1)])
+    jq = SparseQ.from_dense(j)
+    rows, cols, den = jq.rows, jq.T.rows, jq.den
+    dc = lcm(*(v.denominator for *_, v in g.constants))
+    # nij[i, k, c] and a_tab[i, k, c]: component c of N_J(b_i, b_k) and A[i, k]
+    nij, a_tab = defaultdict(int), defaultdict(int)
+    for (p, q, c, v) in g.constants:
+        v = v.numerator * (dc // v.denominator)
+        # [b_s, b_t] = u b_c / dc feeds c_st, A[i, t] via J_si and W[i, k] via J_si J_tk
+        for (s, t, u) in ((p, q, v), (q, p, -v)):
+            nij[s, t, c] += den * den * u
+            for i, x in rows.get(s, {}).items():
+                a_tab[i, t, c] += x * u
+                for k, y in rows.get(t, {}).items():
+                    nij[i, k, c] -= x * y * u
+    # J A[i, k] enters N[i, k]; -J A[i, k] = J [b_k, J b_i] enters N[k, i]
+    for (i, k, c), x in a_tab.items():
+        for e, y in cols.get(c, {}).items():
+            nij[i, k, e] += y * x
+            nij[k, i, e] -= y * x
+    return Fraction(max(map(abs, nij.values()), default=0), den * den * dc)
 
 
 def integrability_operator_defect(j: np.ndarray, g: LieAlgebra):
     """max |ad_x + J ad_{Jx} + J ad_x J - ad_{Jx} J| over basis x.
 
-    Applying the operator for x = b_i to b_k reproduces N_J(b_i, b_k)
-    column by column, so this must agree with :func:`nijenhuis_defect`.
+    Applying the operator for x = b_i to b_k gives N_J(b_i, b_k), so this
+    must agree with :func:`nijenhuis_defect`.  It is an independent witness
+    because it is computed the other way round: whole ad matrices composed
+    by matrix products, not pair values of a bilinear form.  Float input
+    forms the batch of all ad(b_i) from ``structure_tensor``, the batch of
+    all ad(J b_i) by one contraction with J, and the d operators as batched
+    products; exact input builds each ad(b_i) and ad(J b_i) with
+    :func:`heiscot._exact.ad` and composes them over :class:`SparseQ`.
     """
     j = np.asarray(j)
-    exact = _exact.is_exact(j)
-    d = g.dim
-    worst = Fraction(0) if exact else 0.0
-    for i in range(d):
-        ad_x = g.ad_basis(i, exact=exact)
-        ad_jx = g.ad_matrix(j[:, i])
-        op = ad_x + j @ ad_jx + j @ ad_x @ j - ad_jx @ j
-        worst = max(worst, _maxabs(op))
+    if not _exact.is_exact(j):
+        ad_b = g.structure_tensor.transpose(0, 2, 1)
+        ad_j = np.tensordot(j, ad_b, axes=(0, 0))
+        return maxabs(ad_b + j @ ad_j + j @ ad_b @ j - ad_j @ j)
+    jq = SparseQ.from_dense(j)
+    cols = jq.T.rows
+    worst = Fraction(0)
+    for i in range(g.dim):
+        ad_x = ad(g, {i: 1})
+        ad_jx = ad(g, cols.get(i, {}), jq.den)
+        op = ad_x + jq @ ad_jx + jq @ ad_x @ jq - ad_jx @ jq
+        worst = max(worst, op.maxabs())
     return worst
 
 
@@ -185,9 +225,9 @@ def integrability_report(j: np.ndarray, g: LieAlgebra, tol: float = 1e-10) -> di
     acd = almost_complex_defect(j)
     pw = nijenhuis_defect(j, g)
     op = integrability_operator_defect(j, g)
-    scale = max(1.0, float(_maxabs(j)) ** 3)
+    scale = max(1.0, float(maxabs(j)) ** 3)
     agree = abs(float(pw) - float(op)) <= max(tol, 1e-12 * scale)
-    ok = float(acd) <= tol * max(1.0, float(_maxabs(j)) ** 2) and float(pw) <= tol * scale and agree
+    ok = float(acd) <= tol * max(1.0, float(maxabs(j)) ** 2) and float(pw) <= tol * scale and agree
     return {
         "almost_complex_defect": acd,
         "pairwise_defect": pw,
@@ -225,8 +265,8 @@ def anticommuting_block(a: np.ndarray, b: np.ndarray, exact: bool = False) -> np
     out[n:, :n] = b
     out[n:, n:] = -a
     jb = standard_symplectic(n, exact=exact)
-    defect = _maxabs(out @ jb + jb @ out)
-    if (defect != 0) if exact else (defect > 1e-12 * max(1.0, float(_maxabs(out)))):
+    defect = maxabs(out @ jb + jb @ out)
+    if (defect != 0) if exact else (defect > 1e-12 * max(1.0, float(maxabs(out)))):
         raise ValueError("assembled block fails to anticommute")
     return out
 
@@ -281,8 +321,8 @@ class IntegrableFamily:
             jbar3 = np.asarray(jbar3)
             if jbar3.shape != (2 * n, 2 * n):
                 raise ValueError("jbar3 shape mismatch")
-            defect = _maxabs(jbar3 @ jb + jb @ jbar3)
-            scale = max(1.0, float(_maxabs(jbar3)))
+            defect = maxabs(jbar3 @ jb + jb @ jbar3)
+            scale = max(1.0, float(maxabs(jbar3)))
             if float(defect) > 1e-10 * scale:
                 raise ValueError("jbar3 must anticommute with the plane rotation")
             out[2 * n + 1 : 4 * n + 1, : 2 * n] = jbar3
@@ -370,10 +410,10 @@ def match_family(j: np.ndarray, n: int, tol: float = 1e-10) -> FamilyParams | No
         raise ValueError("matrix dimension mismatch")
     exact = _exact.is_exact(j)
     jb = standard_symplectic(n, exact=exact)
-    scale = max(1.0, float(_maxabs(j)))
+    scale = max(1.0, float(maxabs(j)))
 
     def iszero(block):
-        dv = _maxabs(block) if np.asarray(block).size else 0
+        dv = maxabs(block)
         return (dv == 0) if exact else (float(dv) <= tol * scale)
 
     eps_entry = j[n, 0]
@@ -466,7 +506,7 @@ def _normalize_template(j: np.ndarray, g: LieAlgebra, params: FamilyParams,
     fm = aut.matrix
     j0 = standard_complex_structure(n, exact=exact)
     if exact:
-        resid = _maxabs(_exact.solve(fm, j @ fm) - params.epsilon * j0)
+        resid = maxabs(_exact.solve(fm, j @ fm) - params.epsilon * j0)
     else:
         resid = float(np.abs(np.linalg.solve(fm, j @ fm) - params.epsilon * j0).max())
     return NormalizedComplexStructure(matrix=fm, epsilon=params.epsilon,
@@ -698,7 +738,7 @@ def normalize_complex_structure(j: np.ndarray, g: LieAlgebra,
     if params is not None:
         return _normalize_template(j, g, params, exact)
     result = _normalize_adapted(j, g, tol)
-    scale = max(1.0, float(_maxabs(j)))
+    scale = max(1.0, float(maxabs(j)))
     if float(result.residual) > tol * scale:
         raise NotInFamily(f"normalization residual {float(result.residual):.2e} at scale {scale:.1e}")
     if not is_automorphism(result.matrix, g, tol=1e-8):
@@ -711,10 +751,9 @@ def normalize_complex_structure(j: np.ndarray, g: LieAlgebra,
 
 
 def hermitian_defect(j: np.ndarray, s: np.ndarray):
-    """max |J^T S J - S|; zero iff the metric is J-invariant."""
-    j = np.asarray(j)
-    s = np.asarray(s)
-    return _maxabs(j.T @ s @ j - s)
+    """max |J^T S J - S|; zero iff the metric is J-invariant.  Exact, over
+    :class:`SparseQ`, when J and S are both exact."""
+    return congruence_defect(np.asarray(j), np.asarray(s), np.asarray(s))
 
 
 def is_hermitian(j: np.ndarray, s: np.ndarray, tol: float = 1e-10) -> bool:
@@ -722,7 +761,7 @@ def is_hermitian(j: np.ndarray, s: np.ndarray, tol: float = 1e-10) -> bool:
     dv = hermitian_defect(j, s)
     if _exact.is_exact(np.asarray(j)) and _exact.is_exact(np.asarray(s)):
         return dv == 0
-    return float(dv) <= tol * max(1.0, float(_maxabs(s)))
+    return float(dv) <= tol * max(1.0, float(maxabs(s)))
 
 
 @dataclass(frozen=True)
@@ -747,56 +786,56 @@ class HermitianMetricSpace:
         return self.n * self.n + self.n - 1
 
 
-def _template_direction_vars(n: int):
+def _template_direction_vars(n: int) -> list[set]:
     """Free directions of the canonical template diag(D(sigma), 1, S4bar, omega4).
 
     sigma_n and the z* entry are pinned by the normalization, so the
     direction space is sigma_1..sigma_{n-1}, the upper entries of S4bar
-    except the n prescribed zeros, and omega4.
+    except the n prescribed zeros, and omega4.  Each direction is the set
+    of (row, col) positions of its unit entries.
     """
     d = 4 * n + 2
     m = 2 * n + 1
-    dirs = []
-    for i in range(n - 1):
-        e = fzeros((d, d))
-        e[i, i] = Fraction(1)
-        e[n + i, n + i] = Fraction(1)
-        dirs.append(e)
-    for r in range(2 * n):
-        for c in range(r, 2 * n):
-            if c == r + n:
-                continue
-            e = fzeros((d, d))
-            e[m + r, m + c] = Fraction(1)
-            e[m + c, m + r] = Fraction(1)
-            dirs.append(e)
-    e = fzeros((d, d))
-    e[d - 1, d - 1] = Fraction(1)
-    dirs.append(e)
+    dirs = [{(i, i), (n + i, n + i)} for i in range(n - 1)]
+    dirs += [{(m + r, m + c), (m + c, m + r)}
+             for r in range(2 * n) for c in range(r, 2 * n) if c != r + n]
+    dirs.append({(d - 1, d - 1)})
     return dirs
 
 
 def hermitian_metric_space(n: int) -> HermitianMetricSpace:
-    """Exact solve of J0^T S J0 = S over the canonical metric template."""
+    """Exact solve of J0^T S J0 = S over the canonical metric template.
+
+    J0 is a signed permutation, J0 b_c = sgn_c b_img(c), so
+    (J0^T E J0)[p, q] = sgn_p sgn_q E[img(p), img(q)]: the equations of
+    every unit direction E are written down entry by entry, with no
+    matrix product.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     d = 4 * n + 2
     j0 = standard_complex_structure(n, exact=True)
+    img = [next(r for r in range(d) if j0[r, c]) for c in range(d)]
+    pre = {r: c for c, r in enumerate(img)}
     dirs = _template_direction_vars(n)
-    images = [j0.T @ e @ j0 - e for e in dirs]
-    rows = []
-    for p in range(d):
-        for q in range(p, d):
-            row = {k: images[k][p, q] for k in range(len(dirs)) if images[k][p, q] != 0}
-            if row:
-                rows.append(row)
+    eqs: dict = {}
+    for k, entries in enumerate(dirs):
+        for (r, c) in entries:
+            p, q = pre[r], pre[c]
+            for (a, b, v) in ((p, q, j0[r, p] * j0[c, q]), (r, c, Fraction(-1))):
+                if a <= b:
+                    row = eqs.setdefault((a, b), {})
+                    row[k] = row.get(k, 0) + v
+    rows = [{k: v for k, v in row.items() if v} for _, row in sorted(eqs.items())]
+    rows = [row for row in rows if row]
     basis = nullspace_sparse(rows, len(dirs))
     directions = []
     for vec in basis:
         mat = fzeros((d, d))
         for k, coef in enumerate(vec):
             if coef != 0:
-                mat = mat + coef * dirs[k]
+                for (r, c) in dirs[k]:
+                    mat[r, c] = coef
         directions.append(mat)
     particular = feye(d)
     assert hermitian_defect(j0, particular) == 0
@@ -813,11 +852,11 @@ def matches_hermitian_family(s: np.ndarray, n: int, tol: float = 1e-10) -> bool:
     exact = _exact.is_exact(s)
     jb = standard_symplectic(n, exact=exact)
     s4 = s[m : m + 2 * n, m : m + 2 * n]
-    comm = _maxabs(s4 @ jb - jb @ s4)
+    comm = maxabs(s4 @ jb - jb @ s4)
     om4 = s[d - 1, d - 1]
     if exact:
         return comm == 0 and om4 == 1
-    scale = max(1.0, float(_maxabs(s)))
+    scale = max(1.0, float(maxabs(s)))
     return float(comm) <= tol * scale and abs(float(om4) - 1.0) <= tol * scale
 
 
@@ -836,8 +875,8 @@ def is_abelian_complex_structure(j: np.ndarray, g: LieAlgebra,
         for b in range(a + 1, d):
             lhs = g.bracket_basis(a, b, exact=exact)
             rhs = g.bracket(j[:, a], j[:, b])
-            dv = _maxabs(lhs - rhs)
-            bad = (dv != 0) if exact else (float(dv) > tol * max(1.0, float(_maxabs(j)) ** 2))
+            dv = maxabs(lhs - rhs)
+            bad = (dv != 0) if exact else (float(dv) > tol * max(1.0, float(maxabs(j)) ** 2))
             if bad:
                 return False, (g.basis_names[a], g.basis_names[b])
     return True, None

@@ -23,10 +23,11 @@ riem[i, j, k, :] those of R(b_i, b_j) b_k.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from ._exact import SparseQ, ad, fzeros, is_exact, ldl_inertia, to_float
+from ._exact import SparseQ, ad, fzeros, is_exact, ldl_inertia, maxabs
 from ._exact import inv as _exact_inv
 from .lie_core import LieAlgebra
 
@@ -48,12 +49,6 @@ __all__ = [
 
 def _inv(a: np.ndarray) -> np.ndarray:
     return _exact_inv(a) if is_exact(a) else np.linalg.inv(a)
-
-
-def _maxabs(a: np.ndarray) -> float:
-    if is_exact(a):
-        a = to_float(a)
-    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def levi_civita(g: LieAlgebra, s: np.ndarray) -> np.ndarray:
@@ -250,49 +245,36 @@ def signature(s: np.ndarray, tol: float = 1e-9) -> tuple[int, int, int]:
     return pos, neg, len(w) - pos - neg
 
 
-def torsion_defect(g: LieAlgebra, gamma: np.ndarray) -> float:
+def torsion_defect(g: LieAlgebra, gamma: np.ndarray):
     """max |nabla_i j - nabla_j i - [b_i, b_j]|; zero for Levi-Civita."""
-    d = g.dim
     exact = is_exact(gamma)
-    worst = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            diff = gamma[i, j, :] - gamma[j, i, :]
-            for (k, v) in g.bracket_sparse(i, j):
-                diff = diff.copy()
-                diff[k] -= v if exact else float(v)
-            worst = max(worst, _maxabs(diff))
-    return worst
+
+    def diff(i, j):
+        out = gamma[i, j] - gamma[j, i]
+        for (k, v) in g.bracket_sparse(i, j):
+            out[k] -= v if exact else float(v)
+        return out
+
+    return max((maxabs(diff(i, j)) for i, j in combinations(range(g.dim), 2)), default=0.0)
 
 
-def compatibility_defect(g: LieAlgebra, s: np.ndarray, gamma: np.ndarray) -> float:
+def compatibility_defect(g: LieAlgebra, s: np.ndarray, gamma: np.ndarray):
     """max |<nabla_i b_j, b_k> + <b_j, nabla_i b_k>| over basis triples.
 
     Left-invariant inner products of left-invariant fields are constant,
     so metric compatibility is exactly the vanishing of this quantity.
     """
-    d = g.dim
-    worst = 0.0
-    for i in range(d):
-        # m[j, k] = <nabla_i b_j, b_k>; compatibility says m is skew
-        m = gamma[i] @ s
-        worst = max(worst, _maxabs(m + m.T))
-    return worst
+    # m[j, k] = <nabla_i b_j, b_k>; compatibility says m is skew
+    return max(maxabs(m + m.T) for m in (gamma[i] @ s for i in range(g.dim)))
 
 
-def first_bianchi_defect(riem: np.ndarray) -> float:
+def first_bianchi_defect(riem: np.ndarray):
     """max |R(x,y)z + R(y,z)x + R(z,x)y| over basis triples."""
-    d = riem.shape[0]
-    worst = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                cyc = riem[i, j, k, :] + riem[j, k, i, :] + riem[k, i, j, :]
-                worst = max(worst, _maxabs(cyc))
-    return worst
+    return max((maxabs(riem[i, j, k] + riem[j, k, i] + riem[k, i, j])
+                for i, j, k in combinations(range(riem.shape[0]), 3)), default=0.0)
 
 
-def second_bianchi_defect(g: LieAlgebra, gamma: np.ndarray, riem: np.ndarray) -> float:
+def second_bianchi_defect(g: LieAlgebra, gamma: np.ndarray, riem: np.ndarray):
     """max |(nabla_x R)(y,z) + (nabla_y R)(z,x) + (nabla_z R)(x,y)| on basis triples.
 
     (nabla_i R)(j, k) is the operator
@@ -314,13 +296,8 @@ def second_bianchi_defect(g: LieAlgebra, gamma: np.ndarray, riem: np.ndarray) ->
                 m = m - vb * rop[j][a]
         return m
 
-    worst = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                m = cov(i, j, k) + cov(j, k, i) + cov(k, i, j)
-                worst = max(worst, _maxabs(m))
-    return worst
+    return max((maxabs(cov(i, j, k) + cov(j, k, i) + cov(k, i, j))
+                for i, j, k in combinations(range(d), 3)), default=0.0)
 
 
 def is_flat(riem: np.ndarray, tol: float = 1e-10) -> bool:
@@ -331,4 +308,4 @@ def is_flat(riem: np.ndarray, tol: float = 1e-10) -> bool:
     """
     if is_exact(riem):
         return not any(riem.ravel())
-    return _maxabs(riem) <= tol
+    return maxabs(riem) <= tol

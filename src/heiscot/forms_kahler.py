@@ -138,9 +138,7 @@ def _perm_sign(p, q, r, a, b, c):
 
 def closure_defect(omega: np.ndarray, g: LieAlgebra):
     """max |d Omega| over basis triples."""
-    t = d_two_form(omega, g)
-    flat = np.asarray(t).ravel()
-    return max(abs(x) for x in flat)
+    return _exact.maxabs(d_two_form(omega, g))
 
 
 def is_closed(omega: np.ndarray, g: LieAlgebra, tol: float = 1e-10) -> bool:
@@ -151,11 +149,9 @@ def is_closed(omega: np.ndarray, g: LieAlgebra, tol: float = 1e-10) -> bool:
 
 
 def invariance_defect(omega: np.ndarray, j: np.ndarray):
-    """max |J^T Omega J - Omega|."""
-    omega = np.asarray(omega)
-    j = np.asarray(j)
-    diff = j.T @ omega @ j - omega
-    return max(abs(x) for x in diff.ravel())
+    """max |J^T Omega J - Omega|; exact, over :class:`~heiscot._exact.SparseQ`,
+    when both are exact."""
+    return hermitian_defect(j, omega)
 
 
 def j_invariant(omega: np.ndarray, j: np.ndarray, tol: float = 1e-10) -> bool:
@@ -282,7 +278,7 @@ class OmegaParams:
                 dm[i, i] = vec[i]
         dm = _coerce_block(dm, (n, n), exact)
         for name, b, sym in (("a1", a1, -1), ("a2", a2, 1), ("k", k, -1), ("d", dm, 1)):
-            dv = max(abs(x) for x in (b - sym * b.T).ravel())
+            dv = _exact.maxabs(b - sym * b.T)
             bad = (dv != 0) if self.exact else (float(dv) > 1e-12 * max(1.0, float(np.abs(np.asarray(b, dtype=float)).max())))
             if bad:
                 kind = "antisymmetric" if sym < 0 else "symmetric"
@@ -451,7 +447,7 @@ def pseudo_kahler_metric(omega: np.ndarray, n: int) -> np.ndarray:
     exact = _exact.is_exact(omega)
     j0 = standard_complex_structure(n, exact=exact)
     s = j0.T @ omega
-    sym = max(abs(x) for x in (s - s.T).ravel())
+    sym = _exact.maxabs(s - s.T)
     herm = hermitian_defect(j0, s)
     if exact:
         assert sym == 0 and herm == 0
@@ -487,7 +483,7 @@ def certify_pseudo_kahler(params: OmegaParams) -> dict:
     exact = params.exact
 
     def allzero(m):
-        dv = max(abs(x) for x in np.asarray(m).ravel())
+        dv = _exact.maxabs(m)
         return (dv == 0) if exact else (float(dv) <= 1e-9 * max(1.0, float(np.abs(np.asarray(s, dtype=float)).max()) ** 2))
 
     flat = is_flat(riem)

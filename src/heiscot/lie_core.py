@@ -22,8 +22,7 @@ rationals; floats only appear when a caller asks for the dense float tensor.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -83,7 +82,11 @@ class LieAlgebra:
 
     @cached_property
     def structure_tensor(self) -> np.ndarray:
-        """Dense float tensor C with C[i, j, k] = c_ijk."""
+        """Dense float tensor C with C[i, j, k] = c_ijk.
+
+        The float kernels (Nijenhuis routes, bracket preservation) contract
+        it with matrices instead of bracketing vectors one pair at a time.
+        """
         c = np.zeros((self.dim, self.dim, self.dim))
         for (i, j, k, v) in self.constants:
             c[i, j, k] += float(v)
@@ -201,29 +204,6 @@ class LieAlgebra:
                 if any(x != 0 for x in inner):
                     return False
         return True
-
-    def to_json(self) -> str:
-        """Serialize as {dim, n, basis_names, constants} with 1-based indices."""
-        payload = {
-            "dim": self.dim,
-            "n": self.n,
-            "basis_names": list(self.basis_names),
-            "constants": [[i + 1, j + 1, k + 1, str(v)] for (i, j, k, v) in self.constants],
-        }
-        return json.dumps(payload, indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "LieAlgebra":
-        payload = json.loads(text)
-        constants = tuple(
-            (i - 1, j - 1, k - 1, Fraction(v)) for (i, j, k, v) in payload["constants"]
-        )
-        return LieAlgebra(
-            dim=payload["dim"],
-            constants=constants,
-            basis_names=tuple(payload["basis_names"]),
-            n=payload.get("n"),
-        )
 
 
 def build_heisenberg(n: int) -> LieAlgebra:

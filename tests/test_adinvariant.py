@@ -76,6 +76,32 @@ def test_tiny_exact_perturbation_breaks_invariance(algebras, n):
     assert 0 < cert["half_ad_defect"] < Fraction(1, 10**399)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_tiny_exact_template_deviation_is_seen(algebras, n):
+    """A 10^-400 entry at the (e*_1, e*_1) corner is off-template, exactly."""
+    m = 2 * n + 1
+    p = pairing_metric(n, exact=True)
+    p[m, m] += Fraction(1, 10**400)
+    defect, alpha = template_defect(p, n)
+    assert type(defect) is Fraction and defect == Fraction(1, 10**400)
+    assert alpha == 1
+    assert template_defect(pairing_metric(n, exact=True), n)[0] == 0
+    with pytest.raises(ValueError):
+        normalize_ad_invariant(p, algebras[n])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_normalization_residual_keeps_the_mode(algebras, n):
+    g = algebras[n]
+    s = random_ad_invariant(g, np.random.default_rng(n))
+    res = normalize_ad_invariant(s, g)
+    assert type(res.residual) is Fraction and res.residual == 0
+    assert type(template_defect(s, n)[0]) is Fraction
+    s_float = np.asarray(s, dtype=float)
+    res_f = normalize_ad_invariant(s_float, g)
+    assert type(res_f.residual) is float and res_f.residual <= 1e-12 * max(1.0, np.abs(s_float).max())
+
+
 def test_quarter_ad_curvature_route(algebras):
     """R(x, y) = -ad_{[x,y]} / 4 holds for any ad-invariant metric.
 
