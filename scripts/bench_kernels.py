@@ -2,10 +2,10 @@
 
 Usage (from the repository root)::
 
-    python scripts/bench_kernels.py [--parent DIR] [--repeat 3] [--ns 1 2 3 4 5]
+    python scripts/bench_kernels.py [--parent DIR] [--out FILE]
 
 Each kernel is timed with ``time.perf_counter`` on fixed seeded inputs,
-best of ``--repeat`` calls, for every n:
+best of ``REPEAT`` calls, for every n in ``NS``:
 
 * ``integrability_report`` on a rational family member (exact) and on an
   automorphism conjugate of a float family member (float);
@@ -33,6 +33,8 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEAT = 3
+NS = (1, 2, 3, 4, 5)
 KERNELS = ("integrability_report_exact", "integrability_report_float", "bracket_defect_float",
            "hermitian_metric_space", "hermitian_defect_exact")
 
@@ -60,20 +62,20 @@ def _inputs(n):
     return g, j_exact, j_float, aut, standard_complex_structure(n, exact=True), a + a.T
 
 
-def _worker(ns, repeat):
+def _worker():
     from heiscot.automorphism import bracket_defect
     from heiscot.complex_structures import hermitian_defect, hermitian_metric_space, integrability_report
 
     def best(fn):
         times = []
-        for _ in range(repeat):
+        for _ in range(REPEAT):
             t0 = perf_counter()
             fn()
             times.append(perf_counter() - t0)
         return round(1000 * min(times), 4)
 
     out = {k: {} for k in KERNELS}
-    for n in ns:
+    for n in NS:
         g, j_exact, j_float, aut, j0, s = _inputs(n)
         out["integrability_report_exact"][n] = best(lambda: integrability_report(j_exact, g))
         out["integrability_report_float"][n] = best(lambda: integrability_report(j_float, g))
@@ -83,32 +85,30 @@ def _worker(ns, repeat):
     json.dump(out, sys.stdout)
 
 
-def _run(src, ns, repeat):
+def _run(src):
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    cmd = [sys.executable, __file__, "--worker", "--repeat", str(repeat), "--ns", *map(str, ns)]
+    cmd = [sys.executable, __file__, "--worker"]
     return json.loads(subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, help="another revision's checkout to time against")
-    ap.add_argument("--repeat", type=int, default=3)
-    ap.add_argument("--ns", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_structure_kernels.json")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
-        _worker(args.ns, args.repeat)
+        _worker()
         return
     import numpy as np
 
     load_before = os.getloadavg()
     result = {
-        "what": f"kernel wall time in ms, best of {args.repeat}, per n",
-        "change": _run(ROOT / "src", args.ns, args.repeat),
+        "what": f"kernel wall time in ms, best of {REPEAT}, per n",
+        "change": _run(ROOT / "src"),
     }
     if args.parent is not None:
-        result["parent"] = _run(args.parent / "src", args.ns, args.repeat)
+        result["parent"] = _run(args.parent / "src")
         result["speedup"] = {k: {n: round(result["parent"][k][n] / result["change"][k][n], 1)
                                  for n in result["change"][k]} for k in KERNELS}
     result["machine"] = {

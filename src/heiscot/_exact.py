@@ -378,16 +378,15 @@ def ad(g, x: dict, den: int = 1) -> SparseQ:
     """Matrix of ad(v) for v = sum_i x[i] b_i / den: column j holds [v, b_j].
 
     ``g`` is a :class:`~heiscot.lie_core.LieAlgebra`; its structure
-    constants enter through ``bracket_sparse``, over their common
-    denominator, so ``x`` holds ints.
+    constants enter as ints through ``g.int_constants``, so ``x`` holds ints.
     """
-    dc = lcm(*(c.denominator for *_, c in g.constants))
+    dc, table = g.int_constants
     rows: dict = {}
     for i, xi in x.items():
         if not xi:
             continue
         for j in range(g.dim):
-            for k, c in g.bracket_sparse(i, j):
+            for k, u in table.get((i, j), ()):
                 row = rows.setdefault(k, {})
-                row[j] = row.get(j, 0) + xi * c.numerator * (dc // c.denominator)
+                row[j] = row.get(j, 0) + xi * u
     return SparseQ(rows, den * dc)

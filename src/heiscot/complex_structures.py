@@ -53,7 +53,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -166,13 +165,12 @@ def nijenhuis_defect(j: np.ndarray, g: LieAlgebra):
         return maxabs(nij[np.triu_indices(g.dim, 1)])
     jq = SparseQ.from_dense(j)
     rows, cols, den = jq.rows, jq.T.rows, jq.den
-    dc = lcm(*(v.denominator for *_, v in g.constants))
+    dc, table = g.int_constants
     # nij[i, k, c] and a_tab[i, k, c]: component c of N_J(b_i, b_k) and A[i, k]
     nij, a_tab = defaultdict(int), defaultdict(int)
-    for (p, q, c, v) in g.constants:
-        v = v.numerator * (dc // v.denominator)
+    for (s, t), terms in table.items():
         # [b_s, b_t] = u b_c / dc feeds c_st, A[i, t] via J_si and W[i, k] via J_si J_tk
-        for (s, t, u) in ((p, q, v), (q, p, -v)):
+        for (c, u) in terms:
             nij[s, t, c] += den * den * u
             for i, x in rows.get(s, {}).items():
                 a_tab[i, t, c] += x * u

@@ -23,7 +23,6 @@ riem[i, j, k, :] those of R(b_i, b_j) b_k.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -247,15 +246,17 @@ def signature(s: np.ndarray, tol: float = 1e-9) -> tuple[int, int, int]:
 
 def torsion_defect(g: LieAlgebra, gamma: np.ndarray):
     """max |nabla_i j - nabla_j i - [b_i, b_j]|; zero for Levi-Civita."""
+    d = g.dim
     exact = is_exact(gamma)
-
-    def diff(i, j):
-        out = gamma[i, j] - gamma[j, i]
-        for (k, v) in g.bracket_sparse(i, j):
-            out[k] -= v if exact else float(v)
-        return out
-
-    return max((maxabs(diff(i, j)) for i, j in combinations(range(g.dim), 2)), default=0.0)
+    worst = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            diff = gamma[i, j, :] - gamma[j, i, :]
+            for (k, v) in g.bracket_sparse(i, j):
+                diff = diff.copy()
+                diff[k] -= v if exact else float(v)
+            worst = max(worst, maxabs(diff))
+    return worst
 
 
 def compatibility_defect(g: LieAlgebra, s: np.ndarray, gamma: np.ndarray):
@@ -264,14 +265,25 @@ def compatibility_defect(g: LieAlgebra, s: np.ndarray, gamma: np.ndarray):
     Left-invariant inner products of left-invariant fields are constant,
     so metric compatibility is exactly the vanishing of this quantity.
     """
-    # m[j, k] = <nabla_i b_j, b_k>; compatibility says m is skew
-    return max(maxabs(m + m.T) for m in (gamma[i] @ s for i in range(g.dim)))
+    d = g.dim
+    worst = 0.0
+    for i in range(d):
+        # m[j, k] = <nabla_i b_j, b_k>; compatibility says m is skew
+        m = gamma[i] @ s
+        worst = max(worst, maxabs(m + m.T))
+    return worst
 
 
 def first_bianchi_defect(riem: np.ndarray):
     """max |R(x,y)z + R(y,z)x + R(z,x)y| over basis triples."""
-    return max((maxabs(riem[i, j, k] + riem[j, k, i] + riem[k, i, j])
-                for i, j, k in combinations(range(riem.shape[0]), 3)), default=0.0)
+    d = riem.shape[0]
+    worst = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                cyc = riem[i, j, k, :] + riem[j, k, i, :] + riem[k, i, j, :]
+                worst = max(worst, maxabs(cyc))
+    return worst
 
 
 def second_bianchi_defect(g: LieAlgebra, gamma: np.ndarray, riem: np.ndarray):
@@ -296,8 +308,13 @@ def second_bianchi_defect(g: LieAlgebra, gamma: np.ndarray, riem: np.ndarray):
                 m = m - vb * rop[j][a]
         return m
 
-    return max((maxabs(cov(i, j, k) + cov(j, k, i) + cov(k, i, j))
-                for i, j, k in combinations(range(d), 3)), default=0.0)
+    worst = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                m = cov(i, j, k) + cov(j, k, i) + cov(k, i, j)
+                worst = max(worst, maxabs(m))
+    return worst
 
 
 def is_flat(riem: np.ndarray, tol: float = 1e-10) -> bool:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
@@ -79,6 +80,20 @@ class LieAlgebra:
             table.setdefault((i, j), []).append((k, v))
             table.setdefault((j, i), []).append((k, -v))
         return table
+
+    @cached_property
+    def int_constants(self) -> tuple:
+        """The structure constants as ints over their common denominator.
+
+        ``(dc, table)``: ``table[i, j]`` lists the (k, u) with
+        [b_i, b_j] = sum u b_k / dc, in both orientations and in the order
+        of :attr:`_lookup`.  The exact kernels (``_exact.ad``, the
+        Nijenhuis pass) run on these ints.
+        """
+        dc = lcm(*(v.denominator for *_, v in self.constants))
+        table = {ij: [(k, v.numerator * (dc // v.denominator)) for (k, v) in terms]
+                 for ij, terms in self._lookup.items()}
+        return dc, table
 
     @cached_property
     def structure_tensor(self) -> np.ndarray:

@@ -28,6 +28,7 @@ from heiscot.complex_structures import (
     standard_complex_structure,
 )
 from heiscot.forms_kahler import invariance_defect
+from heiscot.lie_core import LieAlgebra
 
 EPS = np.finfo(float).eps
 
@@ -130,6 +131,24 @@ def test_exact_integrability_routes_match_reference(algebras, n):
         rep = integrability_report(j, g)
         assert rep["pairwise_defect"] == pw and rep["operator_defect"] == op
         assert rep["integrable"] is (name != "broken")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_exact_routes_on_rational_structure_constants(algebras, n):
+    # rescaled constants with several denominators exercise the common-denominator scaling
+    g = algebras[n]
+    g = LieAlgebra(g.dim, tuple((a, b, k, c * Fraction(-1) ** t / (t + 2)) for t, (a, b, k, c) in
+                               enumerate(g.constants)), g.basis_names)
+    x = fmat([[t - 2] for t in range(g.dim)])[:, 0]
+    ad_ref = np.array([_ref_bracket(g, x, e) for e in feye(g.dim)]).T
+    assert all(type(u) is Fraction and u == v for u, v in zip(g.ad_matrix(x).ravel(), ad_ref.ravel()))
+    seen = []
+    for name, j in _exact_structures(n).items():
+        pw, op = nijenhuis_defect(j, g), integrability_operator_defect(j, g)
+        assert type(pw) is Fraction and pw == _ref_pairwise(j, g), name
+        assert type(op) is Fraction and op == _ref_operator(j, g), name
+        seen.append(pw)
+    assert any(seen)
 
 
 def _float_structures(n, g):
