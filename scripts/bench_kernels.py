@@ -1,24 +1,31 @@
-"""Time the structure-constant kernels at n = 1..5 and write BENCH_structure_kernels.json.
+"""Time the exact and structure-constant kernels at n = 1..5 and write a BENCH_*.json.
 
 Usage (from the repository root)::
 
     python scripts/bench_kernels.py [--parent DIR] [--out FILE]
 
 Each kernel is timed with ``time.perf_counter`` on fixed seeded inputs,
-best of ``REPEAT`` calls, for every n in ``NS``:
+best of ``REPEAT`` calls (so caches that live as long as the algebra are
+warm), for every n in ``NS``:
 
 * ``integrability_report`` on a rational family member (exact) and on an
   automorphism conjugate of a float family member (float);
 * float ``bracket_defect`` of a random automorphism;
 * ``hermitian_metric_space``;
-* exact ``hermitian_defect`` of J0 against a rational symmetric matrix.
+* exact ``hermitian_defect`` of J0 against a rational symmetric matrix;
+* exact ``inv`` of a pseudo-Kahler metric and ``det`` of an exact
+  automorphism;
+* exact ``riemann`` of that metric's connection, and
+  ``certify_pseudo_kahler`` of its parameters;
+* ``random_ad_invariant``, one exact draw.
 
 The kernels of this checkout's ``src/`` are always timed.  With
 ``--parent DIR``, where DIR holds another revision of the repository (for
 example unpacked with ``git archive``), the same inputs are timed against
 ``DIR/src`` too.  Every revision runs in its own process with one BLAS
-thread.  The result goes to ``BENCH_structure_kernels.json`` at the
-repository root, with the machine conditions it was measured under.
+thread.  The result goes to ``--out`` (``BENCH_structure_kernels.json`` at
+the repository root by default), with the machine conditions it was
+measured under.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 3
 NS = (1, 2, 3, 4, 5)
 KERNELS = ("integrability_report_exact", "integrability_report_float", "bracket_defect_float",
-           "hermitian_metric_space", "hermitian_defect_exact")
+           "hermitian_metric_space", "hermitian_defect_exact", "inv_exact", "det_exact",
+           "riemann_exact", "certify_pseudo_kahler", "random_ad_invariant")
 
 
 def _inputs(n):
@@ -47,6 +55,7 @@ def _inputs(n):
     from heiscot._exact import fmat
     from heiscot.automorphism import random_automorphism
     from heiscot.complex_structures import IntegrableFamily, anticommuting_block, standard_complex_structure
+    from heiscot.forms_kahler import build_omega, is_nondegenerate, pseudo_kahler_metric, random_omega_params
     from heiscot.lie_core import build_thn
 
     g = build_thn(n)
@@ -59,12 +68,25 @@ def _inputs(n):
     j_float = np.linalg.solve(f, j @ f)
     aut = random_automorphism(n, g, rng=rng).matrix
     a = fmat(rng.integers(-3, 4, size=(g.dim, g.dim)).tolist())
-    return g, j_exact, j_float, aut, standard_complex_structure(n, exact=True), a + a.T
+    while True:
+        params = random_omega_params(n, rng)
+        omega = build_omega(params)
+        if is_nondegenerate(omega):
+            break
+    aut_exact = random_automorphism(n, g, rng=rng, exact=True).matrix
+    return (g, j_exact, j_float, aut, standard_complex_structure(n, exact=True), a + a.T,
+            params, pseudo_kahler_metric(omega, n), aut_exact)
 
 
 def _worker():
+    import numpy as np
+
+    from heiscot._exact import det, inv
+    from heiscot.adinvariant import random_ad_invariant
     from heiscot.automorphism import bracket_defect
     from heiscot.complex_structures import hermitian_defect, hermitian_metric_space, integrability_report
+    from heiscot.curvature import levi_civita, riemann
+    from heiscot.forms_kahler import certify_pseudo_kahler
 
     def best(fn):
         times = []
@@ -76,12 +98,19 @@ def _worker():
 
     out = {k: {} for k in KERNELS}
     for n in NS:
-        g, j_exact, j_float, aut, j0, s = _inputs(n)
+        g, j_exact, j_float, aut, j0, s, params, metric, aut_exact = _inputs(n)
+        gamma = levi_civita(g, metric)
+        rng = np.random.default_rng(n)
         out["integrability_report_exact"][n] = best(lambda: integrability_report(j_exact, g))
         out["integrability_report_float"][n] = best(lambda: integrability_report(j_float, g))
         out["bracket_defect_float"][n] = best(lambda: bracket_defect(aut, g))
         out["hermitian_metric_space"][n] = best(lambda: hermitian_metric_space(n))
         out["hermitian_defect_exact"][n] = best(lambda: hermitian_defect(j0, s))
+        out["inv_exact"][n] = best(lambda: inv(metric))
+        out["det_exact"][n] = best(lambda: det(aut_exact))
+        out["riemann_exact"][n] = best(lambda: riemann(g, gamma))
+        out["certify_pseudo_kahler"][n] = best(lambda: certify_pseudo_kahler(params))
+        out["random_ad_invariant"][n] = best(lambda: random_ad_invariant(g, rng))
     json.dump(out, sys.stdout)
 
 

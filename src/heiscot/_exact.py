@@ -4,7 +4,10 @@ Structural claims (dimension counts, solution-space identities, inertia)
 must not depend on floating-point rank decisions, so everything here runs
 over ``fractions.Fraction``.  Matrices are numpy arrays with ``dtype=object``;
 numpy's ``@`` and elementwise arithmetic work on those, while inversion,
-nullspaces and inertia are implemented below.
+determinants, nullspaces and inertia are implemented below.  :func:`inv`
+and :func:`det` are fraction-free: each row is scaled to ints by the lcm
+of its denominators, eliminated over ints with exact division (Bareiss,
+Math. Comp. 22, 1968), and Fractions are built once per output entry.
 
 The sparse row format used by :func:`nullspace_sparse` is a dict mapping
 column index to a nonzero Fraction; systems arising from structure constants
@@ -23,7 +26,7 @@ exact on object arrays, float otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
@@ -98,10 +101,13 @@ def to_float(a: np.ndarray) -> np.ndarray:
 
 
 def maxabs(a):
-    """max |entry| of an array: exact on object input, a float otherwise; 0 when empty."""
+    """max |entry| of an array: exact on object input, a float otherwise; 0 when empty.
+
+    Object input skips its zero entries, so an all-zero array gives Fraction(0).
+    """
     a = np.asarray(a)
     if is_exact(a):
-        return max((abs(x) for x in a.ravel()), default=Fraction(0))
+        return max((abs(x) for x in a.ravel().tolist() if x), default=Fraction(0))
     return float(np.abs(a).max()) if a.size else 0.0
 
 
@@ -113,34 +119,60 @@ def congruence_defect(f: np.ndarray, s: np.ndarray, p: np.ndarray):
     return maxabs(f.T @ s @ f - p)
 
 
+def _int_rows(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
+    """(rows, scales) of a square exact matrix: rows[i] = a[i] * scales[i] as ints,
+    scales[i] the lcm of row i's denominators.  ValueError if not square."""
+    d = a.shape[0]
+    if a.shape != (d, d):
+        raise ValueError("expected a square matrix")
+    rows, scales = [], []
+    for line in a.tolist():
+        sc = lcm(*(x.denominator for x in line))
+        rows.append([x.numerator * (sc // x.denominator) for x in line])
+        scales.append(sc)
+    return rows, scales
+
+
 def inv(a: np.ndarray) -> np.ndarray:
-    """Exact inverse by Gauss-Jordan elimination.
+    """Exact inverse by fraction-free Gauss-Jordan elimination over ints.
+
+    With A = diag(1/s) B for int B, eliminating [B | I] with Bareiss's exact
+    division keeps every entry an int minor of B and ends at
+    [D I | D B^{-1}], D = +-det B; so A^{-1}[i, j] = (D B^{-1})[i, j] s_j / D.
 
     Raises
     ------
+    ValueError
+        If the matrix is not square.
     ZeroDivisionError
         If the matrix is singular.
     """
-    d = a.shape[0]
-    if a.shape != (d, d):
-        raise ValueError("inv expects a square matrix")
-    work = a.copy()
-    out = feye(d)
+    rows, scales = _int_rows(a)
+    d = len(rows)
+    # row r holds columns col..d-1 of the left block, then the right block;
+    # after step col the left column col is p e_col and is dropped
+    work = [row + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
+    prev = 1
     for col in range(d):
-        piv = next((r for r in range(col, d) if work[r, col] != 0), None)
+        piv = next((r for r in range(col, d) if work[r][0]), None)
         if piv is None:
             raise ZeroDivisionError("matrix is singular over the rationals")
-        if piv != col:
-            work[[col, piv]] = work[[piv, col]]
-            out[[col, piv]] = out[[piv, col]]
-        p = work[col, col]
-        work[col] = work[col] / p
-        out[col] = out[col] / p
-        for r in range(d):
-            if r != col and work[r, col] != 0:
-                f = work[r, col]
-                work[r] = work[r] - f * work[col]
-                out[r] = out[r] - f * out[col]
+        work[col], work[piv] = work[piv], work[col]
+        prow = work[col]
+        p = prow[0]
+        tail = prow[1:]
+        for r, row in enumerate(work):
+            f = row[0]
+            if r == col:
+                work[r] = tail
+            elif f:
+                work[r] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+            else:
+                work[r] = [p * x // prev for x in row[1:]]
+        prev = p
+    out = np.empty((d, d), dtype=object)
+    for i, row in enumerate(work):
+        out[i] = [Fraction(x * sc, prev) for x, sc in zip(row, scales)]
     return out
 
 
@@ -149,23 +181,34 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def det(a: np.ndarray) -> Fraction:
-    """Exact determinant by fraction-free-ish row elimination."""
-    d = a.shape[0]
-    work = a.copy()
-    out = Fraction(1)
+    """Exact determinant by Bareiss fraction-free elimination over ints:
+    det A = det B / prod s_i for A = diag(1/s) B with B an int matrix.
+
+    Raises
+    ------
+    ValueError
+        If the matrix is not square.
+    """
+    work, scales = _int_rows(a)
+    d = len(work)
+    # after step col the rows below the pivot drop their (now zero) first entry
+    sign, prev = 1, 1
     for col in range(d):
-        piv = next((r for r in range(col, d) if work[r, col] != 0), None)
+        piv = next((r for r in range(col, d) if work[r][0]), None)
         if piv is None:
             return Fraction(0)
         if piv != col:
-            work[[col, piv]] = work[[piv, col]]
-            out = -out
-        p = work[col, col]
-        out *= p
+            work[col], work[piv] = work[piv], work[col]
+            sign = -sign
+        prow = work[col]
+        p = prow[0]
+        tail = prow[1:]
         for r in range(col + 1, d):
-            if work[r, col] != 0:
-                work[r] = work[r] - (work[r, col] / p) * work[col]
-    return out
+            row = work[r]
+            f = row[0]
+            work[r] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+        prev = p
+    return Fraction(sign * prev, prod(scales))
 
 
 def _eliminate(rows):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -142,18 +143,28 @@ def template_defect(s: np.ndarray, n: int) -> tuple[object, object]:
     return max(maxabs(s[:m, m:] - alpha * eye), maxabs(s[m:, m:])), alpha
 
 
+@cache
+def _solution_basis(g: LieAlgebra) -> tuple[SparseQ, ...]:
+    """:func:`ad_invariant_solution_space` of ``g`` as integer matrices, solved once."""
+    return tuple(SparseQ.from_dense(b) for b in ad_invariant_solution_space(g))
+
+
 def random_ad_invariant(g: LieAlgebra, rng: np.random.Generator,
                         exact: bool = True, degenerate_ok: bool = False) -> np.ndarray:
-    """Random integer combination of the solution basis; resamples until alpha != 0."""
-    basis = ad_invariant_solution_space(g)
+    """Random integer combination of the solution basis; resamples until alpha != 0.
+
+    The basis is solved once per algebra and combined over ints.
+    """
+    basis = _solution_basis(g)
     d = g.dim
     m = 2 * g.n + 1
     for _ in range(64):
         coeffs = rng.integers(-4, 5, size=len(basis))
-        s = fzeros((d, d))
-        for c, b in zip(coeffs, basis):
+        acc = SparseQ({})
+        for c, b in zip(coeffs.tolist(), basis):
             if c:
-                s = s + fr(int(c)) * b
+                acc = acc + c * b
+        s = acc.dense((d, d))
         if degenerate_ok or s[0, m] != 0:
             return s if exact else to_float(s)
     raise RuntimeError("failed to draw a nondegenerate ad-invariant form")
@@ -230,13 +241,8 @@ def certify_flat(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> dict:
     half = Fraction(1, 2) if exact else 0.5
     diff = np.array([gamma[i] - half * g.ad_basis(i, exact=exact).T for i in range(g.dim)])
     riem = riemann(g, gamma)
-    if exact:
-        half_ad, rmax = (max((abs(x) for x in a.ravel() if x), default=Fraction(0))
-                         for a in (diff, riem))
-    else:
-        half_ad, rmax = (float(np.abs(a).max()) for a in (diff, riem))
     return {
-        "half_ad_defect": half_ad,
-        "riemann_max": rmax,
+        "half_ad_defect": maxabs(diff),
+        "riemann_max": maxabs(riem),
         "flat": is_flat(riem, tol=0.0 if exact else tol),
     }

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -117,9 +118,10 @@ def bracket_defect(m: np.ndarray, g: LieAlgebra):
     """max |M[b_i,b_j] - [Mb_i, Mb_j]| over basis pairs; Fraction in exact mode.
 
     Exact input compares M ad(b_i) with ad(Mb_i) M over :class:`SparseQ`.
-    Float input evaluates every pair at once from the structure tensor C:
-    M[b_i, b_j] is one contraction of C with M, and [Mb_i, Mb_j] contracts
-    C with M on both input slots.
+    Float input evaluates every pair i < j at once from the i < j rows of
+    the structure tensor C: M[b_i, b_j] is one product with M, and
+    [Mb_i, Mb_j] = sum over the bracket pairs a < b of
+    (M_ai M_bj - M_bi M_aj) [b_a, b_b], a second product.
     """
     if _exact.is_exact(m):
         sm = _exact.SparseQ.from_dense(m)
@@ -131,10 +133,19 @@ def bracket_defect(m: np.ndarray, g: LieAlgebra):
             diff = sm @ _exact.ad(g, {i: 1}) - _exact.ad(g, cols.get(i, {}), sm.den) @ sm
             worst = max(worst, diff.maxabs())
         return worst
+    iu, ju = _upper_pairs(g.dim)
+    a, b = np.array(sorted({(i, j) for i, j, _, _ in g.constants}), dtype=int).reshape(-1, 2).T
     c = g.structure_tensor
-    lhs = np.tensordot(c, m, axes=(2, 1))
-    rhs = np.tensordot(np.tensordot(m, c, axes=(0, 0)), m, axes=(1, 0)).transpose(0, 2, 1)
-    return _exact.maxabs((lhs - rhs)[np.triu_indices(g.dim, 1)])
+    mt = m.T
+    mi, mj = mt[iu], mt[ju]
+    minors = mi[:, a] * mj[:, b] - mi[:, b] * mj[:, a]
+    return _exact.maxabs(c[iu, ju] @ mt - minors @ c[a, b])
+
+
+@cache
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i < j of a d x d matrix."""
+    return np.triu_indices(d, 1)
 
 
 def is_automorphism(m: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> bool:

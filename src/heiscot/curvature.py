@@ -122,7 +122,7 @@ def riemann(g: LieAlgebra, gamma: np.ndarray) -> np.ndarray:
                 for (k, v) in g.bracket_sparse(i, j):
                     block = block - v * ops[k]
                 riem[i, j] = block.dense((d, d))
-                riem[j, i] = -riem[i, j]
+                riem[j, i] = ((-1) * block).dense((d, d))
         return riem
     # ops[i] acts on coordinate vectors: column k = nabla_{b_i} b_k
     ops = [gamma[i].T.copy() for i in range(d)]

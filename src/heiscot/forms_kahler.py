@@ -105,6 +105,23 @@ def d_one_form(alpha: np.ndarray, g: LieAlgebra) -> np.ndarray:
     return out
 
 
+def _d_two_form_triples(omega: np.ndarray, g: LieAlgebra) -> tuple[bool, list]:
+    """(exact, [(a, b, c, (d Omega)(b_a, b_b, b_c)) for every triple a < b < c])."""
+    omega = np.asarray(omega)
+    d = g.dim
+    if omega.shape != (d, d):
+        raise ValueError("form dimension mismatch")
+    exact = _exact.is_exact(omega)
+    out = []
+    for a, b, c in itertools.combinations(range(d), 3):
+        acc = Fraction(0) if exact else 0.0
+        for (x, y, w, sgn) in ((a, b, c, -1), (a, c, b, 1), (b, c, a, -1)):
+            for (k, v) in g.bracket_sparse(x, y):
+                acc += sgn * (v if exact else float(v)) * omega[k, w]
+        out.append((a, b, c, acc))
+    return exact, out
+
+
 def d_two_form(omega: np.ndarray, g: LieAlgebra) -> np.ndarray:
     """Differential of a 2-form as the rank-3 antisymmetric table
 
@@ -112,33 +129,22 @@ def d_two_form(omega: np.ndarray, g: LieAlgebra) -> np.ndarray:
 
     d of d_one_form is identically zero by the Jacobi identity.
     """
-    omega = np.asarray(omega)
+    exact, triples = _d_two_form_triples(omega, g)
     d = g.dim
-    if omega.shape != (d, d):
-        raise ValueError("form dimension mismatch")
-    exact = _exact.is_exact(omega)
     out = fzeros((d, d, d)) if exact else np.zeros((d, d, d))
-    for a, b, c in itertools.combinations(range(d), 3):
-        acc = Fraction(0) if exact else 0.0
-        for (x, y, w, sgn) in ((a, b, c, -1), (a, c, b, 1), (b, c, a, -1)):
-            for (k, v) in g.bracket_sparse(x, y):
-                acc += sgn * (v if exact else float(v)) * omega[k, w]
+    for a, b, c, acc in triples:
         if not exact and acc == 0:
             continue
-        for (p, q, r) in itertools.permutations((a, b, c)):
-            s = _perm_sign(p, q, r, a, b, c)
-            out[p, q, r] = s * acc
+        out[a, b, c] = out[b, c, a] = out[c, a, b] = acc
+        out[b, a, c] = out[a, c, b] = out[c, b, a] = -acc
     return out
 
 
-def _perm_sign(p, q, r, a, b, c):
-    perm = ((p, q, r).index(a), (p, q, r).index(b), (p, q, r).index(c))
-    return 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
-
-
 def closure_defect(omega: np.ndarray, g: LieAlgebra):
-    """max |d Omega| over basis triples."""
-    return _exact.maxabs(d_two_form(omega, g))
+    """max |d Omega| over basis triples; a Fraction for exact input, a float otherwise."""
+    exact, triples = _d_two_form_triples(omega, g)
+    worst = max((abs(acc) for *_, acc in triples), default=Fraction(0))
+    return worst if exact else float(worst)
 
 
 def is_closed(omega: np.ndarray, g: LieAlgebra, tol: float = 1e-10) -> bool:

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 
 import numpy as np
 
 from . import _exact
-from ._exact import fr, fzeros, feye
+from ._exact import fzeros
 
 __all__ = [
     "LieAlgebra",
@@ -101,11 +101,13 @@ class LieAlgebra:
 
         The float kernels (Nijenhuis routes, bracket preservation) contract
         it with matrices instead of bracketing vectors one pair at a time.
+        Read-only, because the algebra and its caches are shared.
         """
         c = np.zeros((self.dim, self.dim, self.dim))
         for (i, j, k, v) in self.constants:
             c[i, j, k] += float(v)
             c[j, i, k] -= float(v)
+        c.flags.writeable = False
         return c
 
     def bracket_basis(self, i: int, j: int, exact: bool = True) -> np.ndarray:
@@ -233,11 +235,14 @@ def build_heisenberg(n: int) -> LieAlgebra:
     return LieAlgebra(dim=dim, constants=constants, basis_names=names, n=n)
 
 
+@cache
 def build_thn(n: int) -> LieAlgebra:
     """Cotangent algebra T*h(2n+1), dim 4n+2, in the basis order documented above.
 
     Nonzero brackets: [e_i, f_i] = z, [z*, e_i] = f*_i, [z*, f_i] = -e*_i.
     Two-step nilpotent; center = derived subalgebra = span(e*_i, f*_i, z).
+    Memoized: every call with the same n returns the same (frozen) algebra,
+    so its cached tables are built once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur
 
-from .lie_core import LieAlgebra, build_thn, standard_symplectic
+from .lie_core import LieAlgebra, standard_symplectic
 from .automorphism import (
     Automorphism,
     AutParams,

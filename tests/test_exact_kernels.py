@@ -1,10 +1,11 @@
-"""The sparse integer kernel against a dense Fraction reference.
+"""The integer exact kernels against a dense Fraction reference.
 
 The reference below is the dense object-array arithmetic the exact
-branches used before they moved onto ``_exact.SparseQ``.  Every exact
-result must equal it entry by entry and stay a Fraction, on the ac09
-pseudo-Kahler draws, the definite and indefinite ac10 draws, and inputs
-whose defects are nonzero.
+branches used before they moved onto ``_exact.SparseQ`` and fraction-free
+elimination over ints, with its own dense Gauss-Jordan inverse and
+determinant.  Every exact result must equal it entry by entry and stay a
+Fraction, on the ac09 pseudo-Kahler draws, the definite and indefinite
+ac10 draws, random rational matrices, and inputs whose defects are nonzero.
 """
 
 from fractions import Fraction
@@ -12,15 +13,56 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heiscot._exact import SparseQ, fmat, fzeros, inv
-from heiscot.adinvariant import ad_invariance_defect, pairing_metric, random_ad_invariant
+from heiscot._exact import SparseQ, det, fmat, fzeros, inv, maxabs
+from heiscot.adinvariant import (
+    ad_invariance_defect,
+    ad_invariant_solution_space,
+    pairing_metric,
+    random_ad_invariant,
+)
 from heiscot.automorphism import bracket_defect, random_automorphism
 from heiscot.curvature import levi_civita, ricci_nilpotent_summands, riemann
-from heiscot.forms_kahler import build_omega, is_nondegenerate, pseudo_kahler_metric, random_omega_params
+from heiscot.forms_kahler import (
+    build_omega,
+    closure_defect,
+    d_two_form,
+    is_nondegenerate,
+    pseudo_kahler_metric,
+    random_omega_params,
+)
 
 
 # ---------------------------------------------------------------------------
 # dense Fraction reference
+
+
+def _ref_inv_det(a):
+    """(inverse, determinant) by dense Fraction Gauss-Jordan; inverse None if singular."""
+    d = a.shape[0]
+    work = [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(a.tolist())]
+    det_ = Fraction(1)
+    for col in range(d):
+        piv = next((r for r in range(col, d) if work[r][col] != 0), None)
+        if piv is None:
+            return None, Fraction(0)
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            det_ = -det_
+        p = work[col][col]
+        det_ *= p
+        work[col] = [x / p for x in work[col]]
+        for r in range(d):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    out = fzeros((d, d))
+    for i, row in enumerate(work):
+        out[i] = row[d:]
+    return out, det_
+
+
+def _ref_inv(a):
+    return _ref_inv_det(a)[0]
 
 
 def _ref_bracket(g, x, y):
@@ -40,7 +82,7 @@ def _ref_levi_civita(g, s):
         rhs[:, b, a] += c * s[k, :]
         rhs[b, :, a] += c * s[k, :]
         rhs[a, :, b] -= c * s[k, :]
-    sinv_t = inv(s).T
+    sinv_t = _ref_inv(s).T
     return np.array([Fraction(1, 2) * (rhs[i] @ sinv_t) for i in range(d)])
 
 
@@ -60,7 +102,7 @@ def _ref_riemann(g, gamma):
 def _ref_ricci_summands(g, s):
     d = g.dim
     ads = [g.ad_basis(u, exact=True) for u in range(d)]
-    adstar = [inv(s) @ a.T @ s for a in ads]
+    adstar = [_ref_inv(s) @ a.T @ s for a in ads]
     ju = [np.array([adstar[w][:, u] for w in range(d)]).T for u in range(d)]
     one = np.array([[Fraction(-1, 4) * (ju[u] * ju[v].T).sum() for v in range(d)] for u in range(d)])
     two = np.array([[Fraction(-1, 2) * (ads[u] * adstar[v].T).sum() for v in range(d)] for u in range(d)])
@@ -126,6 +168,9 @@ def test_curvature_kernels_match_dense_reference(algebras, n, kind):
     riem = riemann(g, gamma)
     _same(riem, _ref_riemann(g, gamma))
     assert any(x != 0 for x in riem.ravel()), "every draw here is curved"
+    for i in range(g.dim):
+        for j in range(g.dim):
+            _same(riem[j, i], -riem[i, j])
     one, two = ricci_nilpotent_summands(g, s)
     ref_one, ref_two = _ref_ricci_summands(g, s)
     _same(one, ref_one)
@@ -180,3 +225,99 @@ def test_sparse_round_trip_and_arithmetic():
     _same(sa.T.dense((3, 3)), a.T)
     assert sa.maxabs() == Fraction(1) and sb.maxabs() == Fraction(2)
     assert sa.trace_of_product(sb) == np.trace(a @ b)
+
+
+def _rational_matrix(rng, d, zero_lead):
+    """Random rational d x d matrix; each row has its own extra denominator."""
+    num = rng.integers(-4, 5, size=(d, d))
+    den = rng.integers(1, 7, size=(d, d)) * rng.integers(1, 12, size=(d, 1))
+    if zero_lead:
+        num[: (d + 1) // 2, 0] = 0          # the first pivots need row swaps
+    return np.array([[Fraction(int(p), int(q)) for p, q in zip(*rows)] for rows in zip(num, den)],
+                    dtype=object).reshape(d, d)
+
+
+@pytest.mark.parametrize("d", range(1, 15))
+def test_inv_det_match_dense_reference(d):
+    rng = np.random.default_rng(500 + d)
+    for trial in range(4):
+        a = _rational_matrix(rng, d, zero_lead=trial % 2 == 1)
+        ref_inv, ref_det = _ref_inv_det(a)
+        got = det(a)
+        assert type(got) is Fraction and got == ref_det
+        if ref_inv is None:
+            with pytest.raises(ZeroDivisionError):
+                inv(a)
+        else:
+            _same(inv(a), ref_inv)
+
+
+@pytest.mark.parametrize("d", [2, 5, 9, 14])
+def test_singular_and_nonsquare_inputs(d):
+    rng = np.random.default_rng(700 + d)
+    a = _rational_matrix(rng, d, zero_lead=True)
+    a[-1] = Fraction(2, 3) * a[0] - Fraction(5, 7) * a[d // 2 - 1]
+    for m in (a, fzeros((d, d))):
+        got = det(m)
+        assert type(got) is Fraction and got == 0
+        with pytest.raises(ZeroDivisionError):
+            inv(m)
+    for shape in ((d, d + 1), (d + 1, d), (d,)):
+        for fn in (inv, det):
+            with pytest.raises(ValueError):
+                fn(fzeros(shape))
+
+
+def _ref_random_ad_invariant(g, rng):
+    basis = ad_invariant_solution_space(g)
+    m = 2 * g.n + 1
+    while True:
+        s = fzeros((g.dim, g.dim))
+        for c, b in zip(rng.integers(-4, 5, size=len(basis)), basis):
+            if c:
+                s = s + Fraction(int(c)) * b
+        if s[0, m] != 0:
+            return s
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_ad_invariant_matches_dense_reference(algebras, n):
+    g = algebras[n]
+    for seed in (0, 1, 2):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = [random_ad_invariant(g, got_rng) for _ in range(4)]
+        for s in draws:
+            _same(s, _ref_random_ad_invariant(g, ref_rng))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        # a caller's writes reach neither later draws nor the solution space
+        draws[0][...] = Fraction(7)
+        ad_invariant_solution_space(g)[0][...] = Fraction(7)
+        _same(random_ad_invariant(g, np.random.default_rng(seed)),
+              _ref_random_ad_invariant(g, np.random.default_rng(seed)))
+
+
+def test_maxabs_of_exact_arrays():
+    for zeros in (fzeros((3, 4)), np.zeros(5, dtype=object), fzeros(0)):
+        got = maxabs(zeros)
+        assert type(got) is Fraction and got == 0
+    a = fmat([[0, 3], [0, 0]])
+    a[1, 0] = Fraction(-7, 2)
+    got = maxabs(a)
+    assert type(got) is Fraction and got == Fraction(7, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closure_defect_is_max_of_d_two_form(algebras, n):
+    g = algebras[n]
+    rng = np.random.default_rng(60 + n)
+    a = rng.integers(-3, 4, size=(g.dim, g.dim))
+    exact = fmat((a - a.T).tolist()) * Fraction(1, 3)
+    closed = build_omega(random_omega_params(n, rng))
+    star = fzeros((g.dim, g.dim))                 # e*_1 ^ f*_1: d of it is <= 0
+    star[2 * n + 1, 3 * n + 1], star[3 * n + 1, 2 * n + 1] = Fraction(1), Fraction(-1)
+    for omega in (exact, star, closed, exact.astype(float), star.astype(float)):
+        got = closure_defect(omega, g)
+        assert type(got) is type(maxabs(d_two_form(omega, g)))
+        assert got == maxabs(d_two_form(omega, g))
+    assert closure_defect(closed, g) == 0 != closure_defect(exact, g)
+    assert closure_defect(star, g) == 1

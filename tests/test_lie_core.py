@@ -110,3 +110,13 @@ def test_two_step_bracket_into_center(algebras):
         for j in range(i + 1, g.dim):
             v = g.bracket_basis(i, j)
             assert not any(v[: 2 * 2 + 1]), "brackets must land in the center"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_thn_is_shared_and_read_only(n):
+    g = build_thn(n)
+    assert build_thn(n) is g
+    c = g.structure_tensor
+    with pytest.raises(ValueError):
+        c[0, n, 4 * n + 1] = 2.0
+    assert c[0, n, 4 * n + 1] == 1.0 and g.structure_tensor is c
