@@ -15,8 +15,11 @@ classification of its left-invariant structures:
 - closed invariant 2-forms and the Ricci-flat pseudo-Kahler metrics
   they induce, with an exact curvature engine for certificates.
 
-Most constructions run in either float or exact rational arithmetic;
-the exact path uses object arrays of fractions throughout.
+Most constructions run in either float or exact rational arithmetic,
+following the type of their input: object arrays of fractions are exact
+throughout.  ``heiscot._exact`` makes that choice in one place, with
+its two fields (``field``, ``field_of``) and one zero test
+(``negligible``: exact defects must be 0, float ones within a tolerance).
 """
 
 from .lie_core import (

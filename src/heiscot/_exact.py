@@ -21,10 +21,19 @@ nonzero entries; Fractions appear again only when a result is converted
 back to a dense array.  :func:`congruence_defect` (max |F^T S F - P|) runs
 on it, and :func:`maxabs` is the one max-|entry| helper of the package:
 exact on object arrays, float otherwise.
+
+Arithmetic follows the input's type, and the choice is made here, once.
+:func:`field` (from a flag) and :func:`field_of` (from an array) return one
+of two field objects, :data:`EXACT` over Fraction object arrays and
+:data:`FLOAT` over float64, with the same interface: ``zeros``, ``eye``,
+``scalar`` and ``array`` coercion, ``inv`` and ``solve``.  Every zero test
+goes through :func:`negligible`: an exact defect must be exactly zero, a
+float one must lie within ``tol * scale``.
 """
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from math import lcm, prod
 
@@ -38,6 +47,11 @@ __all__ = [
     "fzeros",
     "is_exact",
     "to_float",
+    "EXACT",
+    "FLOAT",
+    "field",
+    "field_of",
+    "negligible",
     "maxabs",
     "inv",
     "solve",
@@ -63,20 +77,17 @@ def fr(x) -> Fraction:
 
 
 def fmat(rows) -> np.ndarray:
-    """Build a dtype=object matrix of Fractions from a nested sequence."""
-    rows = [[fr(x) for x in row] for row in rows]
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            out[i, j] = x
+    """dtype=object array of Fractions with the shape of a nested sequence or
+    array of ints, Fractions or 'p/q' strings; floats are rejected."""
+    a = np.asarray(rows)
+    out = np.empty(a.shape, dtype=object)
+    for idx, x in np.ndenumerate(a):
+        out[idx] = fr(x)
     return out
 
 
 def fvec(entries) -> np.ndarray:
-    out = np.empty(len(entries), dtype=object)
-    for i, x in enumerate(entries):
-        out[i] = fr(x)
-    return out
+    return fmat(entries)
 
 
 def fzeros(shape) -> np.ndarray:
@@ -98,6 +109,64 @@ def is_exact(a) -> bool:
 
 def to_float(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float)
+
+
+class _ExactField:
+    """Exact arithmetic: numpy object arrays of Fractions."""
+
+    exact = True
+    zeros = staticmethod(fzeros)
+    eye = staticmethod(feye)
+    scalar = Fraction
+    array = staticmethod(fmat)
+
+    @staticmethod
+    def inv(a: np.ndarray) -> np.ndarray:
+        # the module-level inv, looked up at call time, so that a wrapper
+        # installed on it (the benchmark's tracer) sees every call
+        return inv(a)
+
+    @staticmethod
+    def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return solve(a, b)
+
+
+class _FloatField:
+    """Float arithmetic: float64 arrays and numpy's linear algebra."""
+
+    exact = False
+    zeros = staticmethod(np.zeros)
+    eye = staticmethod(np.eye)
+    scalar = float
+    array = staticmethod(to_float)
+    inv = staticmethod(np.linalg.inv)
+    solve = staticmethod(np.linalg.solve)
+
+
+EXACT = _ExactField()
+FLOAT = _FloatField()
+
+
+def field(exact: bool):
+    """:data:`EXACT` or :data:`FLOAT`."""
+    return EXACT if exact else FLOAT
+
+
+def field_of(a):
+    """The field of an array's entries: :data:`EXACT` for object arrays."""
+    return field(is_exact(np.asarray(a)))
+
+
+def negligible(defect, tol: float, scale: float) -> bool:
+    """Whether a defect counts as zero.
+
+    An exact defect (a :class:`numbers.Rational`: Fraction, int, numpy int)
+    must equal 0, and ``tol`` and ``scale`` are not used; any other defect
+    must satisfy ``abs(float(defect)) <= tol * scale``, which a NaN fails.
+    """
+    if isinstance(defect, numbers.Rational):
+        return defect == 0
+    return abs(float(defect)) <= tol * scale
 
 
 def maxabs(a):

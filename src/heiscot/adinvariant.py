@@ -28,7 +28,8 @@ from functools import cache
 import numpy as np
 
 from . import _exact
-from ._exact import SparseQ, ad, congruence_defect, fr, fzeros, feye, is_exact, maxabs, to_float
+from ._exact import (SparseQ, ad, congruence_defect, field, field_of, fzeros, is_exact, maxabs,
+                     negligible, to_float)
 from .automorphism import AutParams, Automorphism, assemble
 from .curvature import is_flat, levi_civita, riemann
 from .lie_core import LieAlgebra
@@ -51,8 +52,9 @@ def pairing_metric(n: int, exact: bool = False) -> np.ndarray:
     """The duality pairing as a (4n+2) x (4n+2) matrix: b_i paired with b_{m+i}, m = 2n+1."""
     d = 4 * n + 2
     m = 2 * n + 1
-    p = fzeros((d, d)) if exact else np.zeros((d, d))
-    one = fr(1) if exact else 1.0
+    fld = field(exact)
+    p = fld.zeros((d, d))
+    one = fld.scalar(1)
     for i in range(m):
         p[i, m + i] = one
         p[m + i, i] = one
@@ -80,8 +82,7 @@ def ad_invariance_defect(g: LieAlgebra, s: np.ndarray):
 
 def is_ad_invariant(g: LieAlgebra, s: np.ndarray, tol: float = 1e-12) -> bool:
     """Zero defect, exactly for exact input, else within tol relative to max |s|."""
-    bound = 0 if is_exact(s) else tol * max(1.0, float(np.abs(s).max()))
-    return ad_invariance_defect(g, s) <= bound
+    return negligible(ad_invariance_defect(g, s), tol, max(1.0, float(np.abs(s).max())))
 
 
 def solution_space_dimension(n: int) -> int:
@@ -139,7 +140,7 @@ def template_defect(s: np.ndarray, n: int) -> tuple[object, object]:
     """
     m = 2 * n + 1
     alpha = s[0, m]
-    eye = feye(m) if is_exact(s) else np.eye(m)
+    eye = field_of(s).eye(m)
     return max(maxabs(s[:m, m:] - alpha * eye), maxabs(s[m:, m:])), alpha
 
 
@@ -149,9 +150,9 @@ def _solution_basis(g: LieAlgebra) -> tuple[SparseQ, ...]:
     return tuple(SparseQ.from_dense(b) for b in ad_invariant_solution_space(g))
 
 
-def random_ad_invariant(g: LieAlgebra, rng: np.random.Generator,
-                        exact: bool = True, degenerate_ok: bool = False) -> np.ndarray:
-    """Random integer combination of the solution basis; resamples until alpha != 0.
+def random_ad_invariant(g: LieAlgebra, rng: np.random.Generator) -> np.ndarray:
+    """Random integer combination of the solution basis, as an exact matrix;
+    resamples until alpha != 0.
 
     The basis is solved once per algebra and combined over ints.
     """
@@ -165,8 +166,8 @@ def random_ad_invariant(g: LieAlgebra, rng: np.random.Generator,
             if c:
                 acc = acc + c * b
         s = acc.dense((d, d))
-        if degenerate_ok or s[0, m] != 0:
-            return s if exact else to_float(s)
+        if s[0, m] != 0:
+            return s
     raise RuntimeError("failed to draw a nondegenerate ad-invariant form")
 
 
@@ -198,33 +199,32 @@ def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> 
     """
     n = g.n
     m = 2 * n + 1
-    exact = is_exact(s)
+    fld = field_of(s)
     if not is_ad_invariant(g, s, tol=tol):
         raise ValueError("matrix is not ad-invariant")
     defect, alpha = template_defect(s, n)
-    scale = 1.0 if exact else max(1.0, float(np.abs(to_float(s)).max()))
-    if defect > (0 if exact else tol * scale):
+    scale = max(1.0, float(np.abs(to_float(s)).max()))
+    if not negligible(defect, tol, scale):
         raise ValueError("matrix is ad-invariant but off-template; this cannot happen")
     if alpha == 0:
         raise ValueError("degenerate form: alpha = 0")
 
-    zeros = fzeros if exact else np.zeros
-    one = fr(1) if exact else 1.0
+    one = fld.scalar(1)
     f1 = one / alpha
-    f1_block = (feye(m) if exact else np.eye(m)).copy()
+    f1_block = fld.eye(m)
     f1_block[m - 1, m - 1] = f1
     sbar = s[:m, :m]
     f3 = -(one / (2 * alpha)) * (sbar @ f1_block)
     params = AutParams(
-        Fbar1=feye(2 * n) if exact else np.eye(2 * n),
-        u1=zeros(2 * n),
-        v1=zeros(2 * n),
+        Fbar1=fld.eye(2 * n),
+        u1=fld.zeros(2 * n),
+        v1=fld.zeros(2 * n),
         f1=f1,
         F3=f3,
     )
     aut = assemble(params, g, tol=tol)
-    residual = congruence_defect(aut.matrix, s, pairing_metric(n, exact=exact))
-    if residual > (0 if exact else tol * scale):
+    residual = congruence_defect(aut.matrix, s, pairing_metric(n, exact=fld.exact))
+    if not negligible(residual, tol, scale):
         raise ValueError(f"normalization residual {residual} out of tolerance")
     return NormalizedAdInvariant(automorphism=aut, alpha=alpha, residual=residual)
 
@@ -236,13 +236,13 @@ def certify_flat(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> dict:
     shortcut, and reports both defects.  Exact input certifies exactly:
     both defects are then Fractions.
     """
-    exact = is_exact(s)
+    fld = field_of(s)
     gamma = levi_civita(g, s)
-    half = Fraction(1, 2) if exact else 0.5
-    diff = np.array([gamma[i] - half * g.ad_basis(i, exact=exact).T for i in range(g.dim)])
+    half = fld.scalar(1) / 2
+    diff = np.array([gamma[i] - half * g.ad_basis(i, exact=fld.exact).T for i in range(g.dim)])
     riem = riemann(g, gamma)
     return {
         "half_ad_defect": maxabs(diff),
         "riemann_max": maxabs(riem),
-        "flat": is_flat(riem, tol=0.0 if exact else tol),
+        "flat": is_flat(riem, tol=tol),
     }

@@ -28,7 +28,7 @@ from functools import cache
 import numpy as np
 
 from . import _exact
-from ._exact import fr, fzeros, feye, fvec
+from ._exact import field, field_of, maxabs, negligible, to_float
 from .lie_core import LieAlgebra, standard_symplectic
 
 __all__ = [
@@ -43,12 +43,6 @@ __all__ = [
     "random_conformal_symplectic",
     "aut_parameter_dimension",
 ]
-
-
-def _dtype_pack(n: int, exact: bool):
-    if exact:
-        return fzeros, feye, lambda x: fr(x)
-    return (lambda s: np.zeros(s)), (lambda d: np.eye(d)), float
 
 
 @dataclass(frozen=True)
@@ -78,17 +72,11 @@ class AutParams:
     def f4(self, tol: float = 1e-12):
         """Conformal factor from Fbar1^T J Fbar1 = f4 J; raises if the identity fails."""
         n = self.n
-        exact = self.exact
-        j = standard_symplectic(n, exact=exact)
+        j = standard_symplectic(n, exact=self.exact)
         m = np.asarray(self.Fbar1).T @ j @ np.asarray(self.Fbar1)
         f4 = m[0, n] / j[0, n]
-        resid = m - f4 * j
-        if exact:
-            if any(x != 0 for x in resid.ravel()):
-                raise ValueError("Fbar1 is not conformal symplectic")
-        else:
-            if np.abs(resid).max() > tol * max(1.0, np.abs(m).max()):
-                raise ValueError("Fbar1 is not conformal symplectic")
+        if not negligible(maxabs(m - f4 * j), tol, max(1.0, np.abs(m).max())):
+            raise ValueError("Fbar1 is not conformal symplectic")
         if f4 == 0:
             raise ValueError("conformal factor f4 must be nonzero")
         return f4
@@ -107,8 +95,7 @@ class Automorphism:
         return _exact.is_exact(self.matrix)
 
     def inverse(self) -> "Automorphism":
-        inv = _exact.inv(self.matrix) if self.exact else np.linalg.inv(self.matrix)
-        return Automorphism(matrix=inv, n=self.n)
+        return Automorphism(matrix=field_of(self.matrix).inv(self.matrix), n=self.n)
 
     def __matmul__(self, other: "Automorphism") -> "Automorphism":
         return Automorphism(matrix=self.matrix @ other.matrix, n=self.n)
@@ -153,13 +140,10 @@ def is_automorphism(m: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> bool:
     m = np.asarray(m)
     if m.shape != (g.dim, g.dim):
         raise ValueError("matrix dimension mismatch")
-    if _exact.is_exact(m):
-        if _exact.det(m) == 0:
-            return False
-        return bracket_defect(m, g) == 0
-    if abs(np.linalg.det(m)) < 1e-300:
+    singular = _exact.det(m) == 0 if _exact.is_exact(m) else abs(np.linalg.det(m)) < 1e-300
+    if singular:
         return False
-    return bracket_defect(m, g) <= tol * max(1.0, np.abs(m).max() ** 2)
+    return negligible(bracket_defect(m, g), tol, max(1.0, np.abs(m).max() ** 2))
 
 
 def assemble(params: AutParams, g: LieAlgebra, tol: float = 1e-12) -> Automorphism:
@@ -179,25 +163,21 @@ def assemble(params: AutParams, g: LieAlgebra, tol: float = 1e-12) -> Automorphi
     n = params.n
     if g.n != n or g.dim != 4 * n + 2:
         raise ValueError("algebra/params dimension mismatch")
-    exact = params.exact
+    fld = field(params.exact)
     f4 = params.f4(tol=tol)
     f1 = params.f1
     if f1 == 0:
         raise ValueError("f1 must be nonzero")
-    zeros, eye, _ = _dtype_pack(n, exact)
-    j = standard_symplectic(n, exact=exact)
+    j = standard_symplectic(n, exact=fld.exact)
     fb1 = np.asarray(params.Fbar1)
     u1 = np.asarray(params.u1)
     v1 = np.asarray(params.v1)
     f3 = np.asarray(params.F3)
 
-    fb1_inv = _exact.inv(fb1) if exact else np.linalg.inv(fb1)
+    fb1_inv = fld.inv(fb1)
     # det F1 = det(Fbar1) (f1 - u1^T Fbar1^{-1} v1); reject singular F1 early
     cross = u1 @ fb1_inv @ v1
-    schur = f1 - cross
-    degenerate = (schur == 0) if exact else (
-        abs(schur) <= 1e-12 * max(1.0, abs(float(f1)), abs(float(cross))))
-    if degenerate:
+    if negligible(f1 - cross, 1e-12, max(1.0, abs(float(f1)), abs(float(cross)))):
         raise ValueError("F1 block is singular (f1 - u1^T Fbar1^{-1} v1 = 0)")
 
     fb4 = f1 * f4 * fb1_inv.T - np.outer(j @ v1, j @ u1)
@@ -206,7 +186,7 @@ def assemble(params: AutParams, g: LieAlgebra, tol: float = 1e-12) -> Automorphi
 
     d = 4 * n + 2
     m = 2 * n + 1
-    out = zeros((d, d))
+    out = fld.zeros((d, d))
     out[: 2 * n, : 2 * n] = fb1
     out[: 2 * n, 2 * n] = v1
     out[2 * n, : 2 * n] = u1
@@ -218,8 +198,7 @@ def assemble(params: AutParams, g: LieAlgebra, tol: float = 1e-12) -> Automorphi
     out[m + 2 * n, m + 2 * n] = f4
 
     defect = bracket_defect(out, g)
-    ok = (defect == 0) if exact else (defect <= tol * max(1.0, float(np.abs(_exact.to_float(out)).max()) ** 2))
-    if not ok:
+    if not negligible(defect, tol, max(1.0, float(np.abs(to_float(out)).max()) ** 2)):
         hint = ""
         if n >= 2 and any(x != 0 for x in u1):
             hint = " (u1 must vanish for n >= 2: the center-pairing constraints admit no nonzero solution)"
@@ -228,14 +207,13 @@ def assemble(params: AutParams, g: LieAlgebra, tol: float = 1e-12) -> Automorphi
 
 
 def identity_params(n: int, exact: bool = False) -> AutParams:
-    zeros, eye, scal = _dtype_pack(n, exact)
-    one = fr(1) if exact else 1.0
+    fld = field(exact)
     return AutParams(
-        Fbar1=eye(2 * n),
-        u1=fvec([0] * (2 * n)) if exact else np.zeros(2 * n),
-        v1=fvec([0] * (2 * n)) if exact else np.zeros(2 * n),
-        f1=one,
-        F3=zeros((2 * n + 1, 2 * n + 1)),
+        Fbar1=fld.eye(2 * n),
+        u1=fld.zeros(2 * n),
+        v1=fld.zeros(2 * n),
+        f1=fld.scalar(1),
+        F3=fld.zeros((2 * n + 1, 2 * n + 1)),
     )
 
 
@@ -267,73 +245,48 @@ def symplectic_rotation(angles, g: LieAlgebra) -> Automorphism:
     return assemble(params, g)
 
 
-def random_conformal_symplectic(n: int, rng: np.random.Generator, exact: bool = False,
-                                f4_one: bool = False, transvections: int = 3,
-                                allow_antisymplectic: bool = False) -> np.ndarray:
+def random_conformal_symplectic(n: int, rng: np.random.Generator,
+                                exact: bool = False) -> np.ndarray:
     """Random conformal symplectic matrix as lam * (product of symplectic transvections).
 
     A transvection E - c v (Jv)^T is exactly symplectic for every c and v,
     so integer draws give exact rational (even integer) samples; the overall
-    scale lam contributes the conformal factor f4 = lam^2.  With
-    allow_antisymplectic, half the draws are composed with diag(E, -E),
-    which flips the sign of f4.
+    scale lam contributes the conformal factor f4 = lam^2.
     """
-    zeros, eye, scal = _dtype_pack(n, exact)
+    fld = field(exact)
     j = standard_symplectic(n, exact=exact)
-    out = eye(2 * n)
-    for _ in range(transvections):
-        v_int = rng.integers(-2, 3, size=2 * n)
-        c_int = int(rng.integers(-1, 2))
-        if exact:
-            v = fvec([int(x) for x in v_int])
-            c = Fraction(c_int, 2)
-        else:
-            v = v_int.astype(float)
-            c = c_int / 2.0
-        out = out @ (eye(2 * n) - c * np.outer(v, j @ v))
-    if not f4_one:
-        lam_num = int(rng.integers(1, 4))
-        lam = Fraction(lam_num, 2) if exact else lam_num / 2.0
-        out = lam * out
-    if allow_antisymplectic and rng.integers(0, 2):
-        refl = eye(2 * n)
-        for i in range(n):
-            refl[n + i, n + i] = -refl[n + i, n + i]
-        out = out @ refl
-    return out
+    out = fld.eye(2 * n)
+    for _ in range(3):
+        v = fld.array(rng.integers(-2, 3, size=2 * n))
+        c = fld.scalar(int(rng.integers(-1, 2))) / 2
+        out = out @ (fld.eye(2 * n) - c * np.outer(v, j @ v))
+    return fld.scalar(int(rng.integers(1, 4))) / 2 * out
 
 
 def random_automorphism(n: int, g: LieAlgebra, seed: int | None = None,
                         rng: np.random.Generator | None = None,
-                        exact: bool = False, block_diagonal: bool = False) -> Automorphism:
+                        exact: bool = False) -> Automorphism:
     """Seeded random automorphism; exact=True draws rational block data.
 
-    block_diagonal=True forces u1 = v1 = 0, F3 = 0 and f4 = 1.
     For n >= 2, u1 is always zero (no other value assembles).
     Float draws are rejected while cond(F) > 3e4 so that pullback metrics
     keep roughly nine significant digits through downstream reductions.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    zeros, eye, scal = _dtype_pack(n, exact)
+    fld = field(exact)
 
     def vec(free: bool):
         vals = rng.integers(-2, 3, size=2 * n) if free else np.zeros(2 * n, dtype=int)
-        if exact:
-            return fvec([Fraction(int(x), 2) for x in vals])
-        return vals.astype(float) / 2.0
+        return fld.array(vals) / 2
 
     for _ in range(64):
-        fb1 = random_conformal_symplectic(n, rng, exact=exact, f4_one=block_diagonal)
-        u1 = vec(n == 1 and not block_diagonal)
-        v1 = vec(not block_diagonal)
+        fb1 = random_conformal_symplectic(n, rng, exact=exact)
+        u1 = vec(n == 1)
+        v1 = vec(True)
         f1_int = int(rng.integers(1, 4)) * (1 if rng.integers(0, 2) else -1)
-        f1 = Fraction(f1_int, 2) if exact else f1_int / 2.0
-        if block_diagonal:
-            f3 = zeros((2 * n + 1, 2 * n + 1))
-        else:
-            f3_int = rng.integers(-2, 3, size=(2 * n + 1, 2 * n + 1))
-            f3 = _exact.fmat(f3_int.tolist()) if exact else f3_int.astype(float)
+        f1 = fld.scalar(f1_int) / 2
+        f3 = fld.array(rng.integers(-2, 3, size=(2 * n + 1, 2 * n + 1)))
         params = AutParams(Fbar1=fb1, u1=u1, v1=v1, f1=f1, F3=f3)
         try:
             aut = assemble(params, g)

@@ -111,7 +111,7 @@ def _check(name: str, ok: bool, detail: str = "") -> Check:
 # verb implementations
 
 
-def _algebra_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
+def _algebra_checks(n: int, seed: int, tol: float) -> list[Check]:
     g = build_thn(n)
     out = [
         _check("jacobi_identity", g.jacobi_defect() == 0, "exact"),
@@ -147,7 +147,7 @@ def _algebra_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
     return out
 
 
-def _aut_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
+def _aut_checks(n: int, seed: int, tol: float) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
     samples = [random_automorphism(n, g, rng=rng, exact=True) for _ in range(5)]
@@ -187,7 +187,7 @@ def _aut_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
     return out
 
 
-def _reduce_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
+def _reduce_checks(n: int, seed: int, tol: float) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
     trials = 15
@@ -231,7 +231,7 @@ def _reduce_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
     return out
 
 
-def _equiv_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
+def _equiv_checks(n: int, seed: int, tol: float) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
     trials = 6
@@ -275,7 +275,7 @@ def _equiv_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
     return out
 
 
-def _adinv_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
+def _adinv_checks(n: int, seed: int, tol: float) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
     basis = ad_invariant_solution_space(g)
@@ -302,12 +302,12 @@ def _adinv_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
     return out
 
 
-def _complex_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
+def _complex_checks(n: int, seed: int, tol: float) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
     j0 = standard_complex_structure(n, exact=True)
     out = [_check("reference_structure_integrable", is_integrable(j0, g), "exact")]
-    refl = sign_reversing_automorphism(n, g, exact=True)
+    refl = sign_reversing_automorphism(n, g)
     conj = _exact.solve(refl.matrix, j0 @ refl.matrix)
     out.append(_check(
         "signs_are_one_orbit",
@@ -375,7 +375,7 @@ def _complex_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
     return out
 
 
-def _kahler_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
+def _kahler_checks(n: int, seed: int, tol: float) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
     space = closed_invariant_space(n)
@@ -425,7 +425,7 @@ def _kahler_checks(n: int, seed: int, tol: float, exact: bool) -> list[Check]:
     return out
 
 
-def _curvature_checks(n: int, seed: int, tol: float, exact: bool,
+def _curvature_checks(n: int, seed: int, tol: float,
                       metric: np.ndarray | None = None) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
@@ -525,7 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--json", action="store_true", dest="as_json")
     ap.add_argument("--tol", type=float, default=1e-9, help="float-mode residual tolerance")
-    ap.add_argument("--exact", action="store_true", help="force rational arithmetic where supported")
     ap.add_argument("--metric", type=str, default=None, help="JSON metric file for the curvature verb")
     return ap
 
@@ -572,13 +571,13 @@ def _load_metric(path: str, n: int | None) -> tuple[int, np.ndarray]:
     return n, s
 
 
-def _run_verb(verb: str, n: int, seed: int, tol: float, exact: bool,
+def _run_verb(verb: str, n: int, seed: int, tol: float,
               metric: np.ndarray | None) -> dict:
     t0 = time.perf_counter()
     if verb == "curvature":
-        checks = _curvature_checks(n, seed, tol, exact, metric=metric)
+        checks = _curvature_checks(n, seed, tol, metric=metric)
     else:
-        checks = _VERBS[verb](n, seed, tol, exact)
+        checks = _VERBS[verb](n, seed, tol)
     elapsed = int(1000 * (time.perf_counter() - t0))
     return {
         "command": verb,
@@ -620,11 +619,11 @@ def run(argv: list[str] | None = None) -> int:
     if args.command == "all":
         ns = [args.n] if args.n is not None else [1, 2, 3]
         verbs = ["algebra", "aut", "reduce", "equiv", "adinv", "complex", "kahler", "curvature"]
-        reports = [_run_verb(v, n, args.seed, args.tol, args.exact, None)
+        reports = [_run_verb(v, n, args.seed, args.tol, None)
                    for n in ns for v in verbs]
     else:
         n = args.n if args.n is not None else 1
-        reports = [_run_verb(args.command, n, args.seed, args.tol, args.exact, metric)]
+        reports = [_run_verb(args.command, n, args.seed, args.tol, metric)]
     if args.as_json:
         payload = reports[0] if len(reports) == 1 else reports
         print(json.dumps(payload, indent=2, default=str))

@@ -57,7 +57,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _exact
-from ._exact import SparseQ, ad, congruence_defect, feye, fzeros, maxabs, nullspace_sparse
+from ._exact import (SparseQ, ad, congruence_defect, feye, field, field_of, fzeros, maxabs,
+                     negligible, nullspace_sparse, to_float)
 from .automorphism import AutParams, Automorphism, assemble, is_automorphism
 from .lie_core import LieAlgebra, standard_symplectic
 
@@ -107,14 +108,22 @@ def standard_complex_structure(n: int, exact: bool = False) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     d = 4 * n + 2
+    fld = field(exact)
     jb = standard_symplectic(n, exact=exact)
-    out = fzeros((d, d)) if exact else np.zeros((d, d))
-    one = Fraction(1) if exact else 1.0
+    out = fld.zeros((d, d))
+    one = fld.scalar(1)
     out[: 2 * n, : 2 * n] = jb
     out[2 * n + 1 : 4 * n + 1, 2 * n + 1 : 4 * n + 1] = jb
     out[2 * n, d - 1] = one
     out[d - 1, 2 * n] = -one
     return out
+
+
+def _j0_permutation(n: int) -> tuple[list[int], list[int]]:
+    """J0 as a signed permutation: J0 b_c = sgn[c] b_img[c], sgn[c] = +-1 as ints."""
+    j0 = standard_complex_structure(n)
+    img = [int(np.flatnonzero(col)[0]) for col in j0.T]
+    return img, [int(j0[r, c]) for c, r in enumerate(img)]
 
 
 def almost_complex_defect(j: np.ndarray):
@@ -224,8 +233,9 @@ def integrability_report(j: np.ndarray, g: LieAlgebra, tol: float = 1e-10) -> di
     pw = nijenhuis_defect(j, g)
     op = integrability_operator_defect(j, g)
     scale = max(1.0, float(maxabs(j)) ** 3)
-    agree = abs(float(pw) - float(op)) <= max(tol, 1e-12 * scale)
-    ok = float(acd) <= tol * max(1.0, float(maxabs(j)) ** 2) and float(pw) <= tol * scale and agree
+    agree = negligible(pw - op, max(tol, 1e-12 * scale), 1.0)
+    ok = (negligible(acd, tol, max(1.0, float(maxabs(j)) ** 2)) and negligible(pw, tol, scale)
+          and agree)
     return {
         "almost_complex_defect": acd,
         "pairwise_defect": pw,
@@ -257,14 +267,13 @@ def anticommuting_block(a: np.ndarray, b: np.ndarray, exact: bool = False) -> np
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n, n):
         raise ValueError("blocks must be square and equally sized")
-    out = fzeros((2 * n, 2 * n)) if exact else np.zeros((2 * n, 2 * n))
+    out = field(exact).zeros((2 * n, 2 * n))
     out[:n, :n] = a
     out[:n, n:] = b
     out[n:, :n] = b
     out[n:, n:] = -a
     jb = standard_symplectic(n, exact=exact)
-    defect = maxabs(out @ jb + jb @ out)
-    if (defect != 0) if exact else (defect > 1e-12 * max(1.0, float(maxabs(out)))):
+    if not negligible(maxabs(out @ jb + jb @ out), 1e-12, max(1.0, float(maxabs(out)))):
         raise ValueError("assembled block fails to anticommute")
     return out
 
@@ -307,21 +316,20 @@ class IntegrableFamily:
             raise ValueError("epsilon must be +1 or -1")
         if n2 == 0:
             raise ValueError("n2 must be nonzero")
-        if exact:
-            n2 = Fraction(n2)
+        fld = field(exact)
+        n2 = fld.scalar(n2)
         jb = standard_symplectic(n, exact=exact)
-        out = fzeros((d, d)) if exact else np.zeros((d, d))
+        out = fld.zeros((d, d))
         out[: 2 * n, : 2 * n] = epsilon * jb
         out[2 * n + 1 : 4 * n + 1, 2 * n + 1 : 4 * n + 1] = epsilon * jb
         out[2 * n, d - 1] = n2
-        out[d - 1, 2 * n] = -(Fraction(1) / n2 if exact else 1.0 / n2)
+        out[d - 1, 2 * n] = -(1 / n2)
         if jbar3 is not None:
             jbar3 = np.asarray(jbar3)
             if jbar3.shape != (2 * n, 2 * n):
                 raise ValueError("jbar3 shape mismatch")
             defect = maxabs(jbar3 @ jb + jb @ jbar3)
-            scale = max(1.0, float(maxabs(jbar3)))
-            if float(defect) > 1e-10 * scale:
+            if not negligible(defect, 1e-10, max(1.0, float(maxabs(jbar3)))):
                 raise ValueError("jbar3 must anticommute with the plane rotation")
             out[2 * n + 1 : 4 * n + 1, : 2 * n] = jbar3
         return out
@@ -359,35 +367,33 @@ def signed_plane_member(n: int, signs, n2=1.0, exact: bool = False) -> np.ndarra
         raise ValueError("n2 must be nonzero")
     d = 4 * n + 2
     m = 2 * n + 1
-    out = fzeros((d, d)) if exact else np.zeros((d, d))
-    if exact:
-        n2 = Fraction(n2)
+    fld = field(exact)
+    out = fld.zeros((d, d))
+    n2 = fld.scalar(n2)
     for i, s in enumerate(signs):
-        s = Fraction(s) if exact else float(s)
+        s = fld.scalar(s)
         out[n + i, i] = s
         out[i, n + i] = -s
         out[m + n + i, m + i] = s
         out[m + i, m + n + i] = -s
     out[2 * n, d - 1] = n2
-    out[d - 1, 2 * n] = -(Fraction(1) / n2 if exact else 1.0 / n2)
+    out[d - 1, 2 * n] = -(1 / n2)
     return out
 
 
-def sign_reversing_automorphism(n: int, g: LieAlgebra, exact: bool = True) -> Automorphism:
+def sign_reversing_automorphism(n: int, g: LieAlgebra) -> Automorphism:
     """Automorphism R with R^{-1} J0 R = -J0; an involution.
 
     Fbar1 = diag(Id, -Id) flips every f_i and is antisymplectic
     (conformal factor -1), so the determined central block flips e*_i
     and z.  Existence of R makes the sign of the normal form a gauge
-    choice rather than an invariant.
+    choice rather than an invariant.  Exact.
     """
-    fb1 = feye(2 * n) if exact else np.eye(2 * n)
+    fb1 = feye(2 * n)
     for i in range(n):
         fb1[n + i, n + i] = -fb1[n + i, n + i]
-    zeros = fzeros(2 * n) if exact else np.zeros(2 * n)
-    f3 = fzeros((2 * n + 1, 2 * n + 1)) if exact else np.zeros((2 * n + 1, 2 * n + 1))
-    params = AutParams(Fbar1=fb1, u1=zeros, v1=zeros.copy(),
-                       f1=Fraction(1) if exact else 1.0, F3=f3)
+    params = AutParams(Fbar1=fb1, u1=fzeros(2 * n), v1=fzeros(2 * n),
+                       f1=Fraction(1), F3=fzeros((2 * n + 1, 2 * n + 1)))
     return assemble(params, g)
 
 
@@ -406,31 +412,22 @@ def match_family(j: np.ndarray, n: int, tol: float = 1e-10) -> FamilyParams | No
     m = 2 * n + 1
     if j.shape != (d, d):
         raise ValueError("matrix dimension mismatch")
-    exact = _exact.is_exact(j)
-    jb = standard_symplectic(n, exact=exact)
+    fld = field_of(j)
+    jb = standard_symplectic(n, exact=fld.exact)
     scale = max(1.0, float(maxabs(j)))
 
     def iszero(block):
-        dv = maxabs(block)
-        return (dv == 0) if exact else (float(dv) <= tol * scale)
+        return negligible(maxabs(block), tol, scale)
 
     eps_entry = j[n, 0]
-    if exact:
-        if eps_entry == 1:
-            epsilon = 1
-        elif eps_entry == -1:
-            epsilon = -1
-        else:
-            return None
+    if negligible(eps_entry - 1, tol, scale):
+        epsilon = 1
+    elif negligible(eps_entry + 1, tol, scale):
+        epsilon = -1
     else:
-        if abs(eps_entry - 1.0) <= tol * scale:
-            epsilon = 1
-        elif abs(eps_entry + 1.0) <= tol * scale:
-            epsilon = -1
-        else:
-            return None
+        return None
     n2 = j[2 * n, d - 1]
-    if n2 == 0 or (not exact and abs(n2) <= tol * scale):
+    if negligible(n2, tol, scale):
         return None
     checks = [
         j[: 2 * n, : 2 * n] - epsilon * jb,
@@ -440,7 +437,7 @@ def match_family(j: np.ndarray, n: int, tol: float = 1e-10) -> FamilyParams | No
         _strip_corner(j[:m, m:]),                # upper-right is corner only
         j[d - 1, : 2 * n],                       # z-row over (e, f)
         j[m : m + 2 * n, 2 * n],                 # J z* has no starred part
-        np.asarray([j[d - 1, 2 * n] + (Fraction(1) / n2 if exact else 1.0 / n2)]),
+        np.asarray([j[d - 1, 2 * n] + fld.scalar(1) / n2]),
         j[m : m + 2 * n, d - 1],                 # J z has only the z* component
     ]
     for block in checks:
@@ -478,35 +475,31 @@ class NormalizedComplexStructure:
         return _exact.is_exact(self.matrix)
 
 
-def _normalize_template(j: np.ndarray, g: LieAlgebra, params: FamilyParams,
-                        exact: bool) -> NormalizedComplexStructure:
+def _normalize_template(j: np.ndarray, g: LieAlgebra,
+                        params: FamilyParams) -> NormalizedComplexStructure:
     # Fbar1 = Id, f1 = eps * n2 and F3 upper block -(eps/2) Jbar3 Jbar kill
     # the coupling; the determined F4 = diag(eps n2 Id, 1) rescales the
     # starred group to absorb n2.
     n = g.n
     m = 2 * n + 1
-    jb = standard_symplectic(n, exact=exact)
-    half = Fraction(1, 2) if exact else 0.5
-    f3 = fzeros((m, m)) if exact else np.zeros((m, m))
+    fld = field_of(j)
+    jb = standard_symplectic(n, exact=fld.exact)
+    half = fld.scalar(1) / 2
+    f3 = fld.zeros((m, m))
     f3[: 2 * n, : 2 * n] = -(params.epsilon * half) * (np.asarray(params.jbar3) @ jb)
-    zeros = fzeros(2 * n) if exact else np.zeros(2 * n)
-    f1 = params.epsilon * (params.n2 if exact else float(params.n2))
     aut = assemble(
         AutParams(
-            Fbar1=feye(2 * n) if exact else np.eye(2 * n),
-            u1=zeros,
-            v1=zeros.copy(),
-            f1=f1,
+            Fbar1=fld.eye(2 * n),
+            u1=fld.zeros(2 * n),
+            v1=fld.zeros(2 * n),
+            f1=params.epsilon * fld.scalar(params.n2),
             F3=f3,
         ),
         g,
     )
     fm = aut.matrix
-    j0 = standard_complex_structure(n, exact=exact)
-    if exact:
-        resid = maxabs(_exact.solve(fm, j @ fm) - params.epsilon * j0)
-    else:
-        resid = float(np.abs(np.linalg.solve(fm, j @ fm) - params.epsilon * j0).max())
+    j0 = standard_complex_structure(n, exact=fld.exact)
+    resid = maxabs(fld.solve(fm, j @ fm) - params.epsilon * j0)
     return NormalizedComplexStructure(matrix=fm, epsilon=params.epsilon,
                                       residual=resid, route="template")
 
@@ -677,13 +670,12 @@ def _normalize_adapted_once(jm: np.ndarray, g: LieAlgebra, tol: float):
     return fm, resid
 
 
-def _normalize_adapted(jm: np.ndarray, g: LieAlgebra, tol: float,
-                       passes: int = 3) -> NormalizedComplexStructure:
-    jm = _exact.to_float(jm) if _exact.is_exact(jm) else np.asarray(jm, dtype=float)
+def _normalize_adapted(jm: np.ndarray, g: LieAlgebra, tol: float) -> NormalizedComplexStructure:
+    jm = to_float(jm)
     fm, resid = _normalize_adapted_once(jm, g, tol)
     target = tol * max(1.0, np.abs(jm).max())
     j0 = standard_complex_structure(g.n)
-    for _ in range(passes):
+    for _ in range(3):
         if resid <= target:
             break
         # the residual conjugate sits near J0, where the construction is
@@ -725,7 +717,6 @@ def normalize_complex_structure(j: np.ndarray, g: LieAlgebra,
     j = np.asarray(j)
     if j.shape != (g.dim, g.dim):
         raise ValueError("matrix dimension mismatch")
-    exact = _exact.is_exact(j)
     report = integrability_report(j, g, tol=max(tol, 1e-10))
     if not report["integrable"]:
         raise NotIntegrable(
@@ -734,7 +725,7 @@ def normalize_complex_structure(j: np.ndarray, g: LieAlgebra,
         )
     params = match_family(j, g.n, tol=1e-10)
     if params is not None:
-        return _normalize_template(j, g, params, exact)
+        return _normalize_template(j, g, params)
     result = _normalize_adapted(j, g, tol)
     scale = max(1.0, float(maxabs(j)))
     if float(result.residual) > tol * scale:
@@ -756,10 +747,7 @@ def hermitian_defect(j: np.ndarray, s: np.ndarray):
 
 def is_hermitian(j: np.ndarray, s: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff S(J., J.) = S(., .) within tol (exact zero for object arrays)."""
-    dv = hermitian_defect(j, s)
-    if _exact.is_exact(np.asarray(j)) and _exact.is_exact(np.asarray(s)):
-        return dv == 0
-    return float(dv) <= tol * max(1.0, float(maxabs(s)))
+    return negligible(hermitian_defect(j, s), tol, max(1.0, float(maxabs(s))))
 
 
 @dataclass(frozen=True)
@@ -812,15 +800,14 @@ def hermitian_metric_space(n: int) -> HermitianMetricSpace:
     if n < 1:
         raise ValueError("n must be >= 1")
     d = 4 * n + 2
-    j0 = standard_complex_structure(n, exact=True)
-    img = [next(r for r in range(d) if j0[r, c]) for c in range(d)]
+    img, sgn = _j0_permutation(n)
     pre = {r: c for c, r in enumerate(img)}
     dirs = _template_direction_vars(n)
     eqs: dict = {}
     for k, entries in enumerate(dirs):
         for (r, c) in entries:
             p, q = pre[r], pre[c]
-            for (a, b, v) in ((p, q, j0[r, p] * j0[c, q]), (r, c, Fraction(-1))):
+            for (a, b, v) in ((p, q, Fraction(sgn[p] * sgn[q])), (r, c, Fraction(-1))):
                 if a <= b:
                     row = eqs.setdefault((a, b), {})
                     row[k] = row.get(k, 0) + v
@@ -836,7 +823,7 @@ def hermitian_metric_space(n: int) -> HermitianMetricSpace:
                     mat[r, c] = coef
         directions.append(mat)
     particular = feye(d)
-    assert hermitian_defect(j0, particular) == 0
+    assert hermitian_defect(standard_complex_structure(n, exact=True), particular) == 0
     return HermitianMetricSpace(n=n, particular=particular,
                                 directions=directions, dimension=len(directions))
 
@@ -847,15 +834,11 @@ def matches_hermitian_family(s: np.ndarray, n: int, tol: float = 1e-10) -> bool:
     s = np.asarray(s)
     d = 4 * n + 2
     m = 2 * n + 1
-    exact = _exact.is_exact(s)
-    jb = standard_symplectic(n, exact=exact)
+    jb = standard_symplectic(n, exact=_exact.is_exact(s))
     s4 = s[m : m + 2 * n, m : m + 2 * n]
     comm = maxabs(s4 @ jb - jb @ s4)
-    om4 = s[d - 1, d - 1]
-    if exact:
-        return comm == 0 and om4 == 1
     scale = max(1.0, float(maxabs(s)))
-    return float(comm) <= tol * scale and abs(float(om4) - 1.0) <= tol * scale
+    return negligible(comm, tol, scale) and negligible(s[d - 1, d - 1] - 1, tol, scale)
 
 
 def is_abelian_complex_structure(j: np.ndarray, g: LieAlgebra,
@@ -868,13 +851,12 @@ def is_abelian_complex_structure(j: np.ndarray, g: LieAlgebra,
     """
     j = np.asarray(j)
     exact = _exact.is_exact(j)
+    scale = max(1.0, float(maxabs(j)) ** 2)
     d = g.dim
     for a in range(d):
         for b in range(a + 1, d):
             lhs = g.bracket_basis(a, b, exact=exact)
             rhs = g.bracket(j[:, a], j[:, b])
-            dv = maxabs(lhs - rhs)
-            bad = (dv != 0) if exact else (float(dv) > tol * max(1.0, float(maxabs(j)) ** 2))
-            if bad:
+            if not negligible(maxabs(lhs - rhs), tol, scale):
                 return False, (g.basis_names[a], g.basis_names[b])
     return True, None

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import SparseQ, ad, fzeros, is_exact, ldl_inertia, maxabs
+from ._exact import SparseQ, ad, field_of, fzeros, is_exact, ldl_inertia, maxabs
 from ._exact import inv as _exact_inv
 from .lie_core import LieAlgebra
 
@@ -44,10 +44,6 @@ __all__ = [
     "second_bianchi_defect",
     "is_flat",
 ]
-
-
-def _inv(a: np.ndarray) -> np.ndarray:
-    return _exact_inv(a) if is_exact(a) else np.linalg.inv(a)
 
 
 def levi_civita(g: LieAlgebra, s: np.ndarray) -> np.ndarray:
@@ -140,7 +136,7 @@ def riemann(g: LieAlgebra, gamma: np.ndarray) -> np.ndarray:
 def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
     """Ricci tensor ric(y, z) = trace of x -> R(x, y) z."""
     d = riem.shape[0]
-    ric = fzeros((d, d)) if is_exact(riem) else np.zeros((d, d))
+    ric = field_of(riem).zeros((d, d))
     for y in range(d):
         for z in range(d):
             acc = riem[0, y, z, 0]
@@ -225,8 +221,8 @@ def ricci_nilpotent_summands(g: LieAlgebra, s: np.ndarray) -> tuple[np.ndarray, 
 
 def scalar_curvature(s: np.ndarray, ric: np.ndarray):
     """Scalar curvature tr(s^{-1} ric); Fraction in exact mode."""
-    val = (_inv(s) * ric.T).sum()
-    return val if is_exact(s) else float(val)
+    fld = field_of(s)
+    return fld.scalar((fld.inv(s) * ric.T).sum())
 
 
 def signature(s: np.ndarray, tol: float = 1e-9) -> tuple[int, int, int]:
@@ -247,14 +243,14 @@ def signature(s: np.ndarray, tol: float = 1e-9) -> tuple[int, int, int]:
 def torsion_defect(g: LieAlgebra, gamma: np.ndarray):
     """max |nabla_i j - nabla_j i - [b_i, b_j]|; zero for Levi-Civita."""
     d = g.dim
-    exact = is_exact(gamma)
+    fld = field_of(gamma)
     worst = 0.0
     for i in range(d):
         for j in range(i + 1, d):
             diff = gamma[i, j, :] - gamma[j, i, :]
             for (k, v) in g.bracket_sparse(i, j):
                 diff = diff.copy()
-                diff[k] -= v if exact else float(v)
+                diff[k] -= fld.scalar(v)
             worst = max(worst, maxabs(diff))
     return worst
 

@@ -39,13 +39,13 @@ this per instance in exact arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _exact
-from ._exact import fzeros, is_exact, nullspace_sparse
+from ._exact import field, field_of, fmat, fzeros, maxabs, negligible, nullspace_sparse
 from .curvature import (
     is_flat,
     levi_civita,
@@ -54,7 +54,7 @@ from .curvature import (
     riemann,
     signature,
 )
-from .complex_structures import hermitian_defect, standard_complex_structure
+from .complex_structures import _j0_permutation, hermitian_defect, standard_complex_structure
 from .lie_core import LieAlgebra, build_thn
 
 __all__ = [
@@ -91,35 +91,35 @@ def d_one_form(alpha: np.ndarray, g: LieAlgebra) -> np.ndarray:
     alpha = np.asarray(alpha)
     if alpha.shape != (g.dim,):
         raise ValueError("covector dimension mismatch")
-    exact = _exact.is_exact(alpha)
+    fld = field_of(alpha)
     d = g.dim
-    out = fzeros((d, d)) if exact else np.zeros((d, d))
+    out = fld.zeros((d, d))
     for i in range(d):
         for j in range(i + 1, d):
-            acc = Fraction(0) if exact else 0.0
+            acc = fld.scalar(0)
             for (k, v) in g.bracket_sparse(i, j):
-                acc -= alpha[k] * (v if exact else float(v))
-            if exact or acc != 0:
+                acc -= alpha[k] * fld.scalar(v)
+            if acc != 0:
                 out[i, j] = acc
                 out[j, i] = -acc
     return out
 
 
-def _d_two_form_triples(omega: np.ndarray, g: LieAlgebra) -> tuple[bool, list]:
-    """(exact, [(a, b, c, (d Omega)(b_a, b_b, b_c)) for every triple a < b < c])."""
+def _d_two_form_triples(omega: np.ndarray, g: LieAlgebra) -> tuple[object, list]:
+    """(field, [(a, b, c, (d Omega)(b_a, b_b, b_c)) for every triple a < b < c])."""
     omega = np.asarray(omega)
     d = g.dim
     if omega.shape != (d, d):
         raise ValueError("form dimension mismatch")
-    exact = _exact.is_exact(omega)
+    fld = field_of(omega)
     out = []
     for a, b, c in itertools.combinations(range(d), 3):
-        acc = Fraction(0) if exact else 0.0
+        acc = fld.scalar(0)
         for (x, y, w, sgn) in ((a, b, c, -1), (a, c, b, 1), (b, c, a, -1)):
             for (k, v) in g.bracket_sparse(x, y):
-                acc += sgn * (v if exact else float(v)) * omega[k, w]
+                acc += sgn * fld.scalar(v) * omega[k, w]
         out.append((a, b, c, acc))
-    return exact, out
+    return fld, out
 
 
 def d_two_form(omega: np.ndarray, g: LieAlgebra) -> np.ndarray:
@@ -129,11 +129,11 @@ def d_two_form(omega: np.ndarray, g: LieAlgebra) -> np.ndarray:
 
     d of d_one_form is identically zero by the Jacobi identity.
     """
-    exact, triples = _d_two_form_triples(omega, g)
+    fld, triples = _d_two_form_triples(omega, g)
     d = g.dim
-    out = fzeros((d, d, d)) if exact else np.zeros((d, d, d))
+    out = fld.zeros((d, d, d))
     for a, b, c, acc in triples:
-        if not exact and acc == 0:
+        if acc == 0:
             continue
         out[a, b, c] = out[b, c, a] = out[c, a, b] = acc
         out[b, a, c] = out[a, c, b] = out[c, b, a] = -acc
@@ -142,16 +142,12 @@ def d_two_form(omega: np.ndarray, g: LieAlgebra) -> np.ndarray:
 
 def closure_defect(omega: np.ndarray, g: LieAlgebra):
     """max |d Omega| over basis triples; a Fraction for exact input, a float otherwise."""
-    exact, triples = _d_two_form_triples(omega, g)
-    worst = max((abs(acc) for *_, acc in triples), default=Fraction(0))
-    return worst if exact else float(worst)
+    fld, triples = _d_two_form_triples(omega, g)
+    return fld.scalar(max((abs(acc) for *_, acc in triples), default=Fraction(0)))
 
 
 def is_closed(omega: np.ndarray, g: LieAlgebra, tol: float = 1e-10) -> bool:
-    dv = closure_defect(omega, g)
-    if _exact.is_exact(np.asarray(omega)):
-        return dv == 0
-    return float(dv) <= tol * max(1.0, float(np.abs(omega).max()))
+    return negligible(closure_defect(omega, g), tol, max(1.0, float(np.abs(omega).max())))
 
 
 def invariance_defect(omega: np.ndarray, j: np.ndarray):
@@ -162,10 +158,8 @@ def invariance_defect(omega: np.ndarray, j: np.ndarray):
 
 def j_invariant(omega: np.ndarray, j: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff Omega(Jx, Jy) = Omega(x, y) within tol (exact zero for object input)."""
-    dv = invariance_defect(omega, j)
-    if _exact.is_exact(np.asarray(omega)) and _exact.is_exact(np.asarray(j)):
-        return dv == 0
-    return float(dv) <= tol * max(1.0, float(np.abs(np.asarray(omega, dtype=float)).max()))
+    return negligible(invariance_defect(omega, j), tol,
+                      max(1.0, float(np.abs(np.asarray(omega, dtype=float)).max())))
 
 
 def closed_invariant_space(n: int) -> list[np.ndarray]:
@@ -199,13 +193,7 @@ def closed_invariant_space(n: int) -> list[np.ndarray]:
         row = {k: v for k, v in row.items() if v != 0}
         if row:
             rows.append(row)
-    j0 = standard_complex_structure(n, exact=True)
-    img = [0] * d
-    sgn = [Fraction(0)] * d
-    for c in range(d):
-        r = next(r for r in range(d) if j0[r, c] != 0)
-        img[c] = r
-        sgn[c] = j0[r, c]
+    img, sgn = _j0_permutation(n)
     for p, q in pairs:
         row = {}
         iv, s = omcoef(img[p], img[q])
@@ -238,9 +226,9 @@ def omega_parameter_count(n: int) -> int:
     return 2 * n * n + 1 + (2 if n == 1 else 0)
 
 
-def _coerce_block(x, shape, exact):
+def _coerce_block(x, shape, fld):
     if x is None:
-        return fzeros(shape) if exact else np.zeros(shape)
+        return fld.zeros(shape)
     x = np.asarray(x)
     if x.shape != shape:
         raise ValueError(f"block shape {x.shape} != {shape}")
@@ -268,25 +256,24 @@ class OmegaParams:
     mu: object = 0
     c1: object = 0
     c2: object = 0
-    exact: bool = field(default=False)
+    exact: bool = False
 
     def blocks(self):
         n = self.n
-        exact = self.exact
-        a1 = _coerce_block(self.a1, (n, n), exact)
-        a2 = _coerce_block(self.a2, (n, n), exact)
-        k = _coerce_block(self.k, (n, n), exact)
+        fld = field(self.exact)
+        a1 = _coerce_block(self.a1, (n, n), fld)
+        a2 = _coerce_block(self.a2, (n, n), fld)
+        k = _coerce_block(self.k, (n, n), fld)
         dm = self.d
         if dm is not None and np.asarray(dm).ndim == 1:
             vec = np.asarray(dm)
-            dm = fzeros((n, n)) if exact else np.zeros((n, n))
+            dm = fld.zeros((n, n))
             for i in range(n):
                 dm[i, i] = vec[i]
-        dm = _coerce_block(dm, (n, n), exact)
+        dm = _coerce_block(dm, (n, n), fld)
         for name, b, sym in (("a1", a1, -1), ("a2", a2, 1), ("k", k, -1), ("d", dm, 1)):
-            dv = _exact.maxabs(b - sym * b.T)
-            bad = (dv != 0) if self.exact else (float(dv) > 1e-12 * max(1.0, float(np.abs(np.asarray(b, dtype=float)).max())))
-            if bad:
+            scale = max(1.0, float(np.abs(np.asarray(b, dtype=float)).max()))
+            if not negligible(maxabs(b - sym * b.T), 1e-12, scale):
                 kind = "antisymmetric" if sym < 0 else "symmetric"
                 raise ValueError(f"{name} must be {kind}")
         if self.n > 1 and (self.c1 != 0 or self.c2 != 0):
@@ -294,19 +281,12 @@ class OmegaParams:
         return a1, a2, k, dm
 
 
-def random_omega_params(n: int, rng: np.random.Generator, exact: bool = True) -> OmegaParams:
-    """Small random integer parameters; exact by default so certificates are exact."""
+def random_omega_params(n: int, rng: np.random.Generator) -> OmegaParams:
+    """Small random integer parameters, exact so that certificates are exact."""
 
     def mat(sym):
         raw = rng.integers(-4, 5, size=(n, n))
-        m = raw + sym * raw.T
-        if exact:
-            out = fzeros((n, n))
-            for i in range(n):
-                for j in range(n):
-                    out[i, j] = Fraction(int(m[i, j]))
-            return out
-        return m.astype(float)
+        return fmat(raw + sym * raw.T)
 
     mu = int(rng.integers(-4, 5)) or 1
     c1 = int(rng.integers(-3, 4)) if n == 1 else 0
@@ -317,10 +297,10 @@ def random_omega_params(n: int, rng: np.random.Generator, exact: bool = True) ->
         a2=mat(1),
         k=mat(-1),
         d=mat(1),
-        mu=Fraction(mu) if exact else float(mu),
-        c1=Fraction(c1) if exact else float(c1),
-        c2=Fraction(c2) if exact else float(c2),
-        exact=exact,
+        mu=Fraction(mu),
+        c1=Fraction(c1),
+        c2=Fraction(c2),
+        exact=True,
     )
 
 
@@ -333,9 +313,9 @@ def build_omega(params: OmegaParams) -> np.ndarray:
     n = params.n
     g = build_thn(n)
     d = g.dim
-    exact = params.exact
+    fld = field(params.exact)
     a1, a2, k, dm = params.blocks()
-    out = fzeros((d, d)) if exact else np.zeros((d, d))
+    out = fld.zeros((d, d))
     e = list(range(n))
     f = list(range(n, 2 * n))
     zs = 2 * n
@@ -347,7 +327,7 @@ def build_omega(params: OmegaParams) -> np.ndarray:
         out[a, b] += v
         out[b, a] -= v
 
-    half = Fraction(1, 2) if exact else 0.5
+    half = fld.scalar(1) / 2
     for i in range(n):
         for j in range(n):
             if i < j:
@@ -372,14 +352,10 @@ def build_omega(params: OmegaParams) -> np.ndarray:
         w(f[0], z, -params.c1)
         w(f[0], zs, params.c2)
         w(e[0], z, params.c2)
-    j0 = standard_complex_structure(n, exact=exact)
-    cd = closure_defect(out, g)
-    iv = invariance_defect(out, j0)
-    if exact:
-        assert cd == 0 and iv == 0
-    else:
-        scale = max(1.0, float(np.abs(out).max()))
-        assert float(cd) <= 1e-10 * scale and float(iv) <= 1e-10 * scale
+    j0 = standard_complex_structure(n, exact=fld.exact)
+    scale = max(1.0, float(np.abs(out).max()))
+    assert negligible(closure_defect(out, g), 1e-10, scale)
+    assert negligible(invariance_defect(out, j0), 1e-10, scale)
     return out
 
 
@@ -391,12 +367,12 @@ def extract_omega_params(omega: np.ndarray, n: int) -> OmegaParams:
     invariant space.  Raises ValueError when the designated slots carry
     data of the wrong symmetry type.
     """
-    exact = is_exact(omega)
-    zero = Fraction(0) if exact else 0.0
-    a1 = fzeros((n, n)) if exact else np.zeros((n, n))
-    a2 = fzeros((n, n)) if exact else np.zeros((n, n))
-    k = fzeros((n, n)) if exact else np.zeros((n, n))
-    dm = fzeros((n, n)) if exact else np.zeros((n, n))
+    fld = field_of(omega)
+    zero = fld.scalar(0)
+    a1 = fld.zeros((n, n))
+    a2 = fld.zeros((n, n))
+    k = fld.zeros((n, n))
+    dm = fld.zeros((n, n))
     zs = 2 * n
     z = 4 * n + 1
     es = 2 * n + 1
@@ -413,7 +389,7 @@ def extract_omega_params(omega: np.ndarray, n: int) -> OmegaParams:
     c1 = omega[0, zs] if n == 1 else zero
     c2 = omega[n, zs] if n == 1 else zero
     return OmegaParams(n=n, a1=a1, a2=a2, k=k, d=dm, mu=omega[zs, z],
-                       c1=c1, c2=c2, exact=exact)
+                       c1=c1, c2=c2, exact=fld.exact)
 
 
 def matches_omega_template(omega: np.ndarray, n: int, tol: float = 1e-10) -> bool:
@@ -422,10 +398,7 @@ def matches_omega_template(omega: np.ndarray, n: int, tol: float = 1e-10) -> boo
         rebuilt = build_omega(extract_omega_params(omega, n))
     except (ValueError, AssertionError):
         return False
-    diff = omega - rebuilt
-    if is_exact(omega):
-        return all(x == 0 for x in diff.ravel())
-    return float(np.abs(diff).max()) <= tol * max(1.0, float(np.abs(omega).max()))
+    return negligible(maxabs(omega - rebuilt), tol, max(1.0, float(np.abs(omega).max())))
 
 
 def is_nondegenerate(omega: np.ndarray, tol: float = 1e-12) -> bool:
@@ -450,16 +423,13 @@ def pseudo_kahler_metric(omega: np.ndarray, n: int) -> np.ndarray:
         raise ValueError("form dimension mismatch")
     if not is_nondegenerate(omega):
         raise DegenerateOmega("the 2-form is degenerate")
-    exact = _exact.is_exact(omega)
-    j0 = standard_complex_structure(n, exact=exact)
-    s = j0.T @ omega
-    sym = _exact.maxabs(s - s.T)
-    herm = hermitian_defect(j0, s)
-    if exact:
-        assert sym == 0 and herm == 0
-    else:
-        scale = max(1.0, float(np.abs(s).max()))
-        assert float(sym) <= 1e-10 * scale and float(herm) <= 1e-10 * scale
+    # (J0^T Omega)[c, q] = sgn_c Omega[img_c, q], J0 being a signed permutation
+    img, sgn = _j0_permutation(n)
+    s = np.array(sgn)[:, None] * omega[img]
+    scale = max(1.0, float(np.abs(s).max()))
+    assert negligible(maxabs(s - s.T), 1e-10, scale)
+    j0 = standard_complex_structure(n, exact=_exact.is_exact(omega))
+    assert negligible(hermitian_defect(j0, s), 1e-10, scale)
     return s
 
 
@@ -486,11 +456,10 @@ def certify_pseudo_kahler(params: OmegaParams) -> dict:
     riem = riemann(g, gamma)
     ric1 = ricci_from_riemann(riem)
     one, two = ricci_nilpotent_summands(g, s)
-    exact = params.exact
+    scale = max(1.0, float(np.abs(np.asarray(s, dtype=float)).max()) ** 2)
 
     def allzero(m):
-        dv = _exact.maxabs(m)
-        return (dv == 0) if exact else (float(dv) <= 1e-9 * max(1.0, float(np.abs(np.asarray(s, dtype=float)).max()) ** 2))
+        return negligible(maxabs(m), 1e-9, scale)
 
     flat = is_flat(riem)
     witness = None
@@ -499,7 +468,7 @@ def certify_pseudo_kahler(params: OmegaParams) -> dict:
         for (i, j) in blocks:
             comp = riem[i, j]
             mags = np.abs(comp)
-            if mags.max() > (0 if exact else 1e-10):
+            if not negligible(mags.max(), 1e-10, 1.0):
                 kk, ll = np.unravel_index(mags.argmax(), mags.shape)
                 witness = (g.basis_names[i], g.basis_names[j], g.basis_names[kk],
                            g.basis_names[ll], comp[kk, ll])

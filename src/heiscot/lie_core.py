@@ -30,7 +30,7 @@ from math import lcm
 import numpy as np
 
 from . import _exact
-from ._exact import fzeros
+from ._exact import field, fzeros
 
 __all__ = [
     "LieAlgebra",
@@ -112,9 +112,10 @@ class LieAlgebra:
 
     def bracket_basis(self, i: int, j: int, exact: bool = True) -> np.ndarray:
         """[b_i, b_j] as a coordinate vector."""
-        out = fzeros(self.dim) if exact else np.zeros(self.dim)
+        fld = field(exact)
+        out = fld.zeros(self.dim)
         for (k, v) in self._lookup.get((i, j), ()):
-            out[k] += v if exact else float(v)
+            out[k] += fld.scalar(v)
         return out
 
     def bracket_sparse(self, i: int, j: int) -> tuple:
@@ -123,10 +124,11 @@ class LieAlgebra:
 
     def ad_basis(self, i: int, exact: bool = False) -> np.ndarray:
         """Matrix of ad(b_i); column j holds [b_i, b_j]."""
-        out = fzeros((self.dim, self.dim)) if exact else np.zeros((self.dim, self.dim))
+        fld = field(exact)
+        out = fld.zeros((self.dim, self.dim))
         for j in range(self.dim):
             for (k, v) in self._lookup.get((i, j), ()):
-                out[k, j] += v if exact else float(v)
+                out[k, j] += fld.scalar(v)
         return out
 
     def bracket(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -327,8 +329,9 @@ def relabel(g: LieAlgebra, perm: list[int], names: tuple | None = None) -> LieAl
 
 def standard_symplectic(n: int, exact: bool = False) -> np.ndarray:
     """The 2n x 2n matrix J = [[0, -E], [E, 0]]; J^2 = -E, J^T = -J."""
-    j = fzeros((2 * n, 2 * n)) if exact else np.zeros((2 * n, 2 * n))
-    one = Fraction(1) if exact else 1.0
+    fld = field(exact)
+    j = fld.zeros((2 * n, 2 * n))
+    one = fld.scalar(1)
     for i in range(n):
         j[i, n + i] = -one
         j[n + i, i] = one

@@ -105,7 +105,7 @@ def test_anticommuting_block_property(algebras, rng, n):
 def test_signs_are_one_orbit(algebras, n):
     g = algebras[n]
     j0 = standard_complex_structure(n, exact=True)
-    r = sign_reversing_automorphism(n, g, exact=True)
+    r = sign_reversing_automorphism(n, g)
     lhs = r.matrix @ (-j0)
     rhs = j0 @ r.matrix
     assert (lhs == rhs).all(), "R conjugates J0 to -J0"
