@@ -17,7 +17,9 @@ warm), for every n in ``NS``:
   automorphism;
 * exact ``riemann`` of that metric's connection, and
   ``certify_pseudo_kahler`` of its parameters;
-* ``random_ad_invariant``, one exact draw.
+* ``random_ad_invariant``, one exact draw;
+* ``derivation_algebra``, the largest sparse nullspace, and the exact
+  ``signature`` (``ldl_inertia``) of the pseudo-Kahler metric.
 
 The kernels of this checkout's ``src/`` are always timed.  With
 ``--parent DIR``, where DIR holds another revision of the repository (for
@@ -44,7 +46,8 @@ REPEAT = 3
 NS = (1, 2, 3, 4, 5)
 KERNELS = ("integrability_report_exact", "integrability_report_float", "bracket_defect_float",
            "hermitian_metric_space", "hermitian_defect_exact", "inv_exact", "det_exact",
-           "riemann_exact", "certify_pseudo_kahler", "random_ad_invariant")
+           "riemann_exact", "certify_pseudo_kahler", "random_ad_invariant", "nullspace_exact",
+           "ldl_inertia_exact")
 
 
 def _inputs(n):
@@ -85,8 +88,9 @@ def _worker():
     from heiscot.adinvariant import random_ad_invariant
     from heiscot.automorphism import bracket_defect
     from heiscot.complex_structures import hermitian_defect, hermitian_metric_space, integrability_report
-    from heiscot.curvature import levi_civita, riemann
+    from heiscot.curvature import levi_civita, riemann, signature
     from heiscot.forms_kahler import certify_pseudo_kahler
+    from heiscot.lie_core import derivation_algebra
 
     def best(fn):
         times = []
@@ -111,6 +115,8 @@ def _worker():
         out["riemann_exact"][n] = best(lambda: riemann(g, gamma))
         out["certify_pseudo_kahler"][n] = best(lambda: certify_pseudo_kahler(params))
         out["random_ad_invariant"][n] = best(lambda: random_ad_invariant(g, rng))
+        out["nullspace_exact"][n] = best(lambda: derivation_algebra(g))
+        out["ldl_inertia_exact"][n] = best(lambda: signature(metric))
     json.dump(out, sys.stdout)
 
 

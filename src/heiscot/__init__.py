@@ -19,7 +19,8 @@ Most constructions run in either float or exact rational arithmetic,
 following the type of their input: object arrays of fractions are exact
 throughout.  ``heiscot._exact`` makes that choice in one place, with
 its two fields (``field``, ``field_of``) and one zero test
-(``negligible``: exact defects must be 0, float ones within a tolerance).
+(``negligible``: exact defects must be 0, float ones within a tolerance
+scaled by the size of their operands).
 """
 
 from .lie_core import (

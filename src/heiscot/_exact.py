@@ -1,41 +1,45 @@
 """Exact rational linear algebra on numpy object arrays of Fractions.
 
 Structural claims (dimension counts, solution-space identities, inertia)
-must not depend on floating-point rank decisions, so everything here runs
-over ``fractions.Fraction``.  Matrices are numpy arrays with ``dtype=object``;
-numpy's ``@`` and elementwise arithmetic work on those, while inversion,
-determinants, nullspaces and inertia are implemented below.  :func:`inv`
-and :func:`det` are fraction-free: each row is scaled to ints by the lcm
-of its denominators, eliminated over ints with exact division (Bareiss,
-Math. Comp. 22, 1968), and Fractions are built once per output entry.
+must not depend on floating-point rank decisions, so everything here is
+exact.  Matrices are numpy arrays with ``dtype=object``; numpy's ``@`` and
+elementwise arithmetic work on those, while inversion, determinants,
+nullspaces and inertia are implemented below.
 
-The sparse row format used by :func:`nullspace_sparse` is a dict mapping
-column index to a nonzero Fraction; systems arising from structure constants
-are extremely sparse and dense elimination would waste most of its work.
+Every elimination runs over Python ints, fraction-free after Bareiss
+(Math. Comp. 22, 1968), and Fractions are built only for returned values.
+:func:`inv` and :func:`det` share one Gauss-Jordan pass over rows scaled to
+ints by the lcm of their denominators.  :func:`rank_sparse`,
+:func:`rowspace_sparse` and :func:`nullspace_sparse` share one reduction
+to reduced row echelon form of sparse rows (dicts mapping column index to
+a nonzero rational coefficient; systems arising from structure constants
+are extremely sparse and dense elimination would waste most of its work);
+a float coefficient is a ``TypeError``.  :func:`ldl_inertia` eliminates
+symmetrically over ints after scaling by one common denominator.
 
 :class:`SparseQ` is the product kernel behind the exact curvature and
 bracket checks: a rational matrix held as dict-of-rows Python ints over one
 common denominator.  Products, sums and the ad action then run over ints
-(Bareiss's fraction-free idea, Math. Comp. 22, 1968) and touch only the
-nonzero entries; Fractions appear again only when a result is converted
-back to a dense array.  :func:`congruence_defect` (max |F^T S F - P|) runs
-on it, and :func:`maxabs` is the one max-|entry| helper of the package:
-exact on object arrays, float otherwise.
+and touch only the nonzero entries; Fractions appear again only when a
+result is converted back to a dense array.  :func:`congruence_defect`
+(max |F^T S F - P|) runs on it, and :func:`maxabs` is the one max-|entry|
+helper of the package: exact on object arrays, float otherwise.
 
 Arithmetic follows the input's type, and the choice is made here, once.
 :func:`field` (from a flag) and :func:`field_of` (from an array) return one
 of two field objects, :data:`EXACT` over Fraction object arrays and
 :data:`FLOAT` over float64, with the same interface: ``zeros``, ``eye``,
 ``scalar`` and ``array`` coercion, ``inv`` and ``solve``.  Every zero test
-goes through :func:`negligible`: an exact defect must be exactly zero, a
-float one must lie within ``tol * scale``.
+goes through :func:`negligible`, which also owns the tolerance scale: an
+exact defect must be exactly zero and its operands are never sized; a
+float one must lie within ``tol`` times the size of its operands.
 """
 
 from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -57,6 +61,7 @@ __all__ = [
     "solve",
     "det",
     "rank_sparse",
+    "rowspace_sparse",
     "nullspace_sparse",
     "ldl_inertia",
     "SparseQ",
@@ -157,16 +162,20 @@ def field_of(a):
     return field(is_exact(np.asarray(a)))
 
 
-def negligible(defect, tol: float, scale: float) -> bool:
+def negligible(defect, tol: float, *operands, power: int = 1) -> bool:
     """Whether a defect counts as zero.
 
     An exact defect (a :class:`numbers.Rational`: Fraction, int, numpy int)
-    must equal 0, and ``tol`` and ``scale`` are not used; any other defect
-    must satisfy ``abs(float(defect)) <= tol * scale``, which a NaN fails.
+    must equal 0, and nothing else is evaluated.  Any other defect must
+    satisfy ``abs(float(defect)) <= tol * scale`` (which a NaN fails), with
+    ``scale = max(1, max |entry| of each operand) ** power``: the size of
+    the arrays the defect was computed from, to the degree it grows with them.
     """
     if isinstance(defect, numbers.Rational):
         return defect == 0
-    return abs(float(defect)) <= tol * scale
+    size = abs(float(defect))
+    # the scale is at least 1, so a defect within tol needs no scale
+    return size <= tol or size <= tol * max([1.0, *(float(maxabs(x)) for x in operands)]) ** power
 
 
 def maxabs(a):
@@ -202,31 +211,21 @@ def _int_rows(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
     return rows, scales
 
 
-def inv(a: np.ndarray) -> np.ndarray:
-    """Exact inverse by fraction-free Gauss-Jordan elimination over ints.
-
-    With A = diag(1/s) B for int B, eliminating [B | I] with Bareiss's exact
-    division keeps every entry an int minor of B and ends at
-    [D I | D B^{-1}], D = +-det B; so A^{-1}[i, j] = (D B^{-1})[i, j] s_j / D.
-
-    Raises
-    ------
-    ValueError
-        If the matrix is not square.
-    ZeroDivisionError
-        If the matrix is singular.
-    """
-    rows, scales = _int_rows(a)
-    d = len(rows)
-    # row r holds columns col..d-1 of the left block, then the right block;
-    # after step col the left column col is p e_col and is dropped
-    work = [row + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
-    prev = 1
+def _gauss_jordan(work: list[list[int]]) -> tuple[int, int]:
+    """Bareiss fraction-free Gauss-Jordan elimination of square-led int rows,
+    in place: every row is reduced against every pivot with exact division
+    by the previous one, and then drops its first entry, so the rows of
+    [B | I] end as those of p B^{-1}.  Returns (sign of the row swaps, last
+    pivot p), so det B = sign * p; (0, 0) when B is singular."""
+    d = len(work)
+    sign, prev = 1, 1
     for col in range(d):
         piv = next((r for r in range(col, d) if work[r][0]), None)
         if piv is None:
-            raise ZeroDivisionError("matrix is singular over the rationals")
-        work[col], work[piv] = work[piv], work[col]
+            return 0, 0
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            sign = -sign
         prow = work[col]
         p = prow[0]
         tail = prow[1:]
@@ -239,9 +238,29 @@ def inv(a: np.ndarray) -> np.ndarray:
             else:
                 work[r] = [p * x // prev for x in row[1:]]
         prev = p
+    return sign, prev
+
+
+def inv(a: np.ndarray) -> np.ndarray:
+    """Exact inverse: with A = diag(1/s) B for int B, [B | I] eliminates to
+    [p I | p B^{-1}], so A^{-1}[i, j] = (p B^{-1})[i, j] s_j / p.
+
+    Raises
+    ------
+    ValueError
+        If the matrix is not square.
+    ZeroDivisionError
+        If the matrix is singular.
+    """
+    rows, scales = _int_rows(a)
+    d = len(rows)
+    work = [row + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
+    _, p = _gauss_jordan(work)
+    if not p:
+        raise ZeroDivisionError("matrix is singular over the rationals")
     out = np.empty((d, d), dtype=object)
     for i, row in enumerate(work):
-        out[i] = [Fraction(x * sc, prev) for x, sc in zip(row, scales)]
+        out[i] = [Fraction(x * sc, p) for x, sc in zip(row, scales)]
     return out
 
 
@@ -250,8 +269,8 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def det(a: np.ndarray) -> Fraction:
-    """Exact determinant by Bareiss fraction-free elimination over ints:
-    det A = det B / prod s_i for A = diag(1/s) B with B an int matrix.
+    """Exact determinant, det B / prod s_i for A = diag(1/s) B, from the
+    elimination of :func:`inv` without its identity block.
 
     Raises
     ------
@@ -259,52 +278,65 @@ def det(a: np.ndarray) -> Fraction:
         If the matrix is not square.
     """
     work, scales = _int_rows(a)
-    d = len(work)
-    # after step col the rows below the pivot drop their (now zero) first entry
-    sign, prev = 1, 1
-    for col in range(d):
-        piv = next((r for r in range(col, d) if work[r][0]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            sign = -sign
-        prow = work[col]
-        p = prow[0]
-        tail = prow[1:]
-        for r in range(col + 1, d):
-            row = work[r]
-            f = row[0]
-            work[r] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
-        prev = p
-    return Fraction(sign * prev, prod(scales))
+    sign, p = _gauss_jordan(work)
+    return Fraction(sign * p, prod(scales))
 
 
-def _eliminate(rows):
-    """Forward elimination of sparse dict rows; returns {pivot_col: row}."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+def _cancel(row: dict, prow: dict, col: int) -> dict:
+    """p row - f prow, p = prow[col] and f = row[col] over their gcd, so
+    column col cancels; zero entries dropped, divided by its content."""
+    g = gcd(prow[col], row[col])
+    p, f = prow[col] // g, row[col] // g
+    out = {c: p * v for c, v in row.items()}
+    for c, v in prow.items():
+        out[c] = out.get(c, 0) - f * v
+    out = {c: v for c, v in out.items() if v}
+    g = gcd(*out.values())
+    return {c: v // g for c, v in out.items()} if g > 1 else out
+
+
+def _rref(rows) -> dict[int, dict[int, int]]:
+    """Fraction-free reduced row echelon form of sparse rational rows.
+
+    Each row is scaled to ints by the lcm of its denominators and reduced
+    by :func:`_cancel`.  Returns {pivot column: int row}: the pivot is the
+    row's least column and is zero in every other row, so row / row[pivot]
+    is the unique reduced row echelon form.  TypeError on a coefficient
+    that is not a :class:`numbers.Rational` (a float, say).
+    """
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = dict(row)
-        while row:
+        if not all(isinstance(v, numbers.Rational) for v in row.values()):
+            raise TypeError("exact elimination needs rational coefficients")
+        sc = lcm(*(int(v.denominator) for v in row.values()))
+        row = {c: int(v.numerator) * (sc // int(v.denominator)) for c, v in row.items() if v}
+        # pivot rows vanish in each other's pivot columns: cancelling one brings in no other
+        for col in [c for c in row if c in pivots]:
+            row = _cancel(row, pivots[col], col)
+        if row:
             col = min(row)
-            if col in pivots:
-                piv = pivots[col]
-                f = row[col] / piv[col]
-                for cc, vv in piv.items():
-                    nv = row.get(cc, Fraction(0)) - f * vv
-                    if nv:
-                        row[cc] = nv
-                    elif cc in row:
-                        del row[cc]
-            else:
-                pivots[col] = row
-                break
+            for pcol, prow in pivots.items():
+                if col in prow:
+                    pivots[pcol] = _cancel(prow, row, col)
+            pivots[col] = row
     return pivots
 
 
 def rank_sparse(rows) -> int:
     """Exact rank of a system given as an iterable of sparse dict rows."""
-    return len(_eliminate(rows))
+    return len(_rref(rows))
+
+
+def rowspace_sparse(rows, nvars: int) -> list[np.ndarray]:
+    """Reduced row echelon basis of the span of sparse rational rows: one
+    length-``nvars`` Fraction vector per pivot, in pivot order, pivot entry 1."""
+    basis = []
+    for col, row in sorted(_rref(rows).items()):
+        vec = fzeros(nvars)
+        for c, v in row.items():
+            vec[c] = Fraction(v, row[col])
+        basis.append(vec)
+    return basis
 
 
 def nullspace_sparse(rows, nvars: int) -> list[np.ndarray]:
@@ -313,7 +345,8 @@ def nullspace_sparse(rows, nvars: int) -> list[np.ndarray]:
     Parameters
     ----------
     rows : iterable of dict
-        Each row maps column index to a nonzero Fraction coefficient.
+        Each row maps column index to a nonzero rational coefficient
+        (Fraction or int).
     nvars : int
         Number of variables (columns).
 
@@ -323,33 +356,14 @@ def nullspace_sparse(rows, nvars: int) -> list[np.ndarray]:
         One length-``nvars`` Fraction vector per free variable; the basis
         produced by setting each free variable to 1 in the reduced system.
     """
-    pivots = _eliminate(rows)
-    # back substitution to reduced row echelon form
-    cols = sorted(pivots)
-    for idx in range(len(cols) - 1, -1, -1):
-        col = cols[idx]
-        piv = pivots[col]
-        piv = {k: v / piv[col] for k, v in piv.items()}
-        pivots[col] = piv
-        for col2 in cols[:idx]:
-            r2 = pivots[col2]
-            if col in r2:
-                f = r2[col]
-                for cc, vv in piv.items():
-                    nv = r2.get(cc, Fraction(0)) - f * vv
-                    if nv:
-                        r2[cc] = nv
-                    elif cc in r2:
-                        del r2[cc]
-                pivots[col2] = r2
-    free = [j for j in range(nvars) if j not in pivots]
+    pivots = _rref(rows)
     basis = []
-    for fcol in free:
+    for fcol in (j for j in range(nvars) if j not in pivots):
         vec = fzeros(nvars)
         vec[fcol] = Fraction(1)
         for pcol, row in pivots.items():
             if fcol in row:
-                vec[pcol] = -row[fcol]
+                vec[pcol] = Fraction(-row[fcol], row[pcol])
         basis.append(vec)
     return basis
 
@@ -357,41 +371,41 @@ def nullspace_sparse(rows, nvars: int) -> list[np.ndarray]:
 def ldl_inertia(s: np.ndarray) -> tuple[int, int, int]:
     """Exact inertia (p, q, z) of a symmetric rational matrix.
 
-    Symmetric elimination with rational pivots; a congruence at every step,
-    so the signature is preserved (Sylvester).  When the remaining diagonal
-    vanishes but an off-diagonal entry does not, the row/column addition
-    trick manufactures a nonzero diagonal pivot (valid in characteristic 0).
+    S is scaled to ints by one positive common denominator, and each pivot
+    pv = A_kk is eliminated symmetrically: the Schur complement times
+    |pv|, sign(pv) (pv A_rc - A_rk A_kc), divided by its content.  Every
+    step is a congruence or a positive scaling, so the signature is
+    preserved (Sylvester).  When the remaining diagonal vanishes but an
+    off-diagonal entry A_ij does not, adding row and column j to row and
+    column i makes the pivot 2 A_ij (valid in characteristic 0).
     """
     d = s.shape[0]
-    work = s.copy()
-    alive = list(range(d))
-    p = q = z = 0
-    while alive:
-        piv_i = next((i for i in alive if work[i, i] != 0), None)
-        if piv_i is None:
-            pair = next(
-                ((i, j) for ii, i in enumerate(alive) for j in alive[ii + 1:] if work[i, j] != 0),
-                None,
-            )
+    den = lcm(*(x.denominator for x in s.ravel().tolist()))
+    a = [[x.numerator * (den // x.denominator) for x in line] for line in s.tolist()]
+    p = q = 0
+    while a:
+        k = next((i for i in range(len(a)) if a[i][i]), None)
+        if k is None:
+            pair = next(((i, j) for i in range(len(a)) for j in range(i + 1, len(a)) if a[i][j]),
+                        None)
             if pair is None:
-                z += len(alive)
                 break
-            i, j = pair
-            work[i, :] = work[i, :] + work[j, :]
-            work[:, i] = work[:, i] + work[:, j]
-            piv_i = i
-        pv = work[piv_i, piv_i]
+            k, j = pair
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        pv = a[k][k]
         if pv > 0:
-            p += 1
+            p, sg = p + 1, 1
         else:
-            q += 1
-        alive.remove(piv_i)
-        for r in alive:
-            if work[r, piv_i] != 0:
-                f = work[r, piv_i] / pv
-                work[r, :] = work[r, :] - f * work[piv_i, :]
-                work[:, r] = work[:, r] - f * work[:, piv_i]
-    return p, q, z
+            q, sg = q + 1, -1
+        ak = [row[k] for row in a]
+        rest = [r for r in range(len(a)) if r != k]
+        a = [[sg * (pv * a[r][c] - ak[r] * ak[c]) for c in rest] for r in rest]
+        g = gcd(*(x for row in a for x in row))
+        if g > 1:
+            a = [[x // g for x in row] for row in a]
+    return p, q, d - p - q
 
 
 class SparseQ:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _exact
 from ._exact import (SparseQ, ad, congruence_defect, field, field_of, fzeros, is_exact, maxabs,
-                     negligible, to_float)
+                     negligible)
 from .automorphism import AutParams, Automorphism, assemble
 from .curvature import is_flat, levi_civita, riemann
 from .lie_core import LieAlgebra
@@ -82,7 +82,7 @@ def ad_invariance_defect(g: LieAlgebra, s: np.ndarray):
 
 def is_ad_invariant(g: LieAlgebra, s: np.ndarray, tol: float = 1e-12) -> bool:
     """Zero defect, exactly for exact input, else within tol relative to max |s|."""
-    return negligible(ad_invariance_defect(g, s), tol, max(1.0, float(np.abs(s).max())))
+    return negligible(ad_invariance_defect(g, s), tol, s)
 
 
 def solution_space_dimension(n: int) -> int:
@@ -203,8 +203,7 @@ def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> 
     if not is_ad_invariant(g, s, tol=tol):
         raise ValueError("matrix is not ad-invariant")
     defect, alpha = template_defect(s, n)
-    scale = max(1.0, float(np.abs(to_float(s)).max()))
-    if not negligible(defect, tol, scale):
+    if not negligible(defect, tol, s):
         raise ValueError("matrix is ad-invariant but off-template; this cannot happen")
     if alpha == 0:
         raise ValueError("degenerate form: alpha = 0")
@@ -224,7 +223,7 @@ def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> 
     )
     aut = assemble(params, g, tol=tol)
     residual = congruence_defect(aut.matrix, s, pairing_metric(n, exact=fld.exact))
-    if not negligible(residual, tol, scale):
+    if not negligible(residual, tol, s):
         raise ValueError(f"normalization residual {residual} out of tolerance")
     return NormalizedAdInvariant(automorphism=aut, alpha=alpha, residual=residual)
 

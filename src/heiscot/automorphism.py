@@ -28,7 +28,7 @@ from functools import cache
 import numpy as np
 
 from . import _exact
-from ._exact import field, field_of, maxabs, negligible, to_float
+from ._exact import field, field_of, maxabs, negligible
 from .lie_core import LieAlgebra, standard_symplectic
 
 __all__ = [
@@ -75,7 +75,7 @@ class AutParams:
         j = standard_symplectic(n, exact=self.exact)
         m = np.asarray(self.Fbar1).T @ j @ np.asarray(self.Fbar1)
         f4 = m[0, n] / j[0, n]
-        if not negligible(maxabs(m - f4 * j), tol, max(1.0, np.abs(m).max())):
+        if not negligible(maxabs(m - f4 * j), tol, m):
             raise ValueError("Fbar1 is not conformal symplectic")
         if f4 == 0:
             raise ValueError("conformal factor f4 must be nonzero")
@@ -143,7 +143,7 @@ def is_automorphism(m: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> bool:
     singular = _exact.det(m) == 0 if _exact.is_exact(m) else abs(np.linalg.det(m)) < 1e-300
     if singular:
         return False
-    return negligible(bracket_defect(m, g), tol, max(1.0, np.abs(m).max() ** 2))
+    return negligible(bracket_defect(m, g), tol, m, power=2)
 
 
 def assemble(params: AutParams, g: LieAlgebra, tol: float = 1e-12) -> Automorphism:
@@ -177,7 +177,7 @@ def assemble(params: AutParams, g: LieAlgebra, tol: float = 1e-12) -> Automorphi
     fb1_inv = fld.inv(fb1)
     # det F1 = det(Fbar1) (f1 - u1^T Fbar1^{-1} v1); reject singular F1 early
     cross = u1 @ fb1_inv @ v1
-    if negligible(f1 - cross, 1e-12, max(1.0, abs(float(f1)), abs(float(cross)))):
+    if negligible(f1 - cross, 1e-12, f1, cross):
         raise ValueError("F1 block is singular (f1 - u1^T Fbar1^{-1} v1 = 0)")
 
     fb4 = f1 * f4 * fb1_inv.T - np.outer(j @ v1, j @ u1)
@@ -198,7 +198,7 @@ def assemble(params: AutParams, g: LieAlgebra, tol: float = 1e-12) -> Automorphi
     out[m + 2 * n, m + 2 * n] = f4
 
     defect = bracket_defect(out, g)
-    if not negligible(defect, tol, max(1.0, float(np.abs(to_float(out)).max()) ** 2)):
+    if not negligible(defect, tol, out, power=2):
         hint = ""
         if n >= 2 and any(x != 0 for x in u1):
             hint = " (u1 must vanish for n >= 2: the center-pairing constraints admit no nonzero solution)"

@@ -606,9 +606,12 @@ def _print_report(rep: dict) -> None:
 
 def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.n is not None and args.n < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return 2
+    for bad, msg in ((args.n is not None and args.n < 1, "--n must be >= 1"),
+                     (args.seed < 0, "--seed must be >= 0"),
+                     (not 0 < args.tol < float("inf"), "--tol must be finite and > 0")):
+        if bad:
+            print(f"error: {msg}", file=sys.stderr)
+            return 2
     metric = None
     if args.command == "curvature" and args.metric is not None:
         try:

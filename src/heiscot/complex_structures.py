@@ -232,10 +232,9 @@ def integrability_report(j: np.ndarray, g: LieAlgebra, tol: float = 1e-10) -> di
     acd = almost_complex_defect(j)
     pw = nijenhuis_defect(j, g)
     op = integrability_operator_defect(j, g)
-    scale = max(1.0, float(maxabs(j)) ** 3)
-    agree = negligible(pw - op, max(tol, 1e-12 * scale), 1.0)
-    ok = (negligible(acd, tol, max(1.0, float(maxabs(j)) ** 2)) and negligible(pw, tol, scale)
-          and agree)
+    # the routes agree within tol, or within 1e-12 of the size of a J^3 term
+    agree = negligible(pw - op, tol) or negligible(pw - op, 1e-12, j, power=3)
+    ok = negligible(acd, tol, j, power=2) and negligible(pw, tol, j, power=3) and agree
     return {
         "almost_complex_defect": acd,
         "pairwise_defect": pw,
@@ -273,7 +272,7 @@ def anticommuting_block(a: np.ndarray, b: np.ndarray, exact: bool = False) -> np
     out[n:, :n] = b
     out[n:, n:] = -a
     jb = standard_symplectic(n, exact=exact)
-    if not negligible(maxabs(out @ jb + jb @ out), 1e-12, max(1.0, float(maxabs(out)))):
+    if not negligible(maxabs(out @ jb + jb @ out), 1e-12, out):
         raise ValueError("assembled block fails to anticommute")
     return out
 
@@ -329,7 +328,7 @@ class IntegrableFamily:
             if jbar3.shape != (2 * n, 2 * n):
                 raise ValueError("jbar3 shape mismatch")
             defect = maxabs(jbar3 @ jb + jb @ jbar3)
-            if not negligible(defect, 1e-10, max(1.0, float(maxabs(jbar3)))):
+            if not negligible(defect, 1e-10, jbar3):
                 raise ValueError("jbar3 must anticommute with the plane rotation")
             out[2 * n + 1 : 4 * n + 1, : 2 * n] = jbar3
         return out
@@ -414,20 +413,19 @@ def match_family(j: np.ndarray, n: int, tol: float = 1e-10) -> FamilyParams | No
         raise ValueError("matrix dimension mismatch")
     fld = field_of(j)
     jb = standard_symplectic(n, exact=fld.exact)
-    scale = max(1.0, float(maxabs(j)))
 
     def iszero(block):
-        return negligible(maxabs(block), tol, scale)
+        return negligible(maxabs(block), tol, j)
 
     eps_entry = j[n, 0]
-    if negligible(eps_entry - 1, tol, scale):
+    if negligible(eps_entry - 1, tol, j):
         epsilon = 1
-    elif negligible(eps_entry + 1, tol, scale):
+    elif negligible(eps_entry + 1, tol, j):
         epsilon = -1
     else:
         return None
     n2 = j[2 * n, d - 1]
-    if negligible(n2, tol, scale):
+    if negligible(n2, tol, j):
         return None
     checks = [
         j[: 2 * n, : 2 * n] - epsilon * jb,
@@ -747,7 +745,7 @@ def hermitian_defect(j: np.ndarray, s: np.ndarray):
 
 def is_hermitian(j: np.ndarray, s: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff S(J., J.) = S(., .) within tol (exact zero for object arrays)."""
-    return negligible(hermitian_defect(j, s), tol, max(1.0, float(maxabs(s))))
+    return negligible(hermitian_defect(j, s), tol, s)
 
 
 @dataclass(frozen=True)
@@ -837,8 +835,7 @@ def matches_hermitian_family(s: np.ndarray, n: int, tol: float = 1e-10) -> bool:
     jb = standard_symplectic(n, exact=_exact.is_exact(s))
     s4 = s[m : m + 2 * n, m : m + 2 * n]
     comm = maxabs(s4 @ jb - jb @ s4)
-    scale = max(1.0, float(maxabs(s)))
-    return negligible(comm, tol, scale) and negligible(s[d - 1, d - 1] - 1, tol, scale)
+    return negligible(comm, tol, s) and negligible(s[d - 1, d - 1] - 1, tol, s)
 
 
 def is_abelian_complex_structure(j: np.ndarray, g: LieAlgebra,
@@ -851,12 +848,11 @@ def is_abelian_complex_structure(j: np.ndarray, g: LieAlgebra,
     """
     j = np.asarray(j)
     exact = _exact.is_exact(j)
-    scale = max(1.0, float(maxabs(j)) ** 2)
     d = g.dim
     for a in range(d):
         for b in range(a + 1, d):
             lhs = g.bracket_basis(a, b, exact=exact)
             rhs = g.bracket(j[:, a], j[:, b])
-            if not negligible(maxabs(lhs - rhs), tol, scale):
+            if not negligible(maxabs(lhs - rhs), tol, j, power=2):
                 return False, (g.basis_names[a], g.basis_names[b])
     return True, None

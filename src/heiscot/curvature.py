@@ -135,15 +135,7 @@ def riemann(g: LieAlgebra, gamma: np.ndarray) -> np.ndarray:
 
 def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
     """Ricci tensor ric(y, z) = trace of x -> R(x, y) z."""
-    d = riem.shape[0]
-    ric = field_of(riem).zeros((d, d))
-    for y in range(d):
-        for z in range(d):
-            acc = riem[0, y, z, 0]
-            for x in range(1, d):
-                acc = acc + riem[x, y, z, x]
-            ric[y, z] = acc
-    return ric
+    return np.trace(riem, axis1=0, axis2=3)
 
 
 def ricci_nilpotent_formula(g: LieAlgebra, s: np.ndarray) -> np.ndarray:

@@ -147,7 +147,7 @@ def closure_defect(omega: np.ndarray, g: LieAlgebra):
 
 
 def is_closed(omega: np.ndarray, g: LieAlgebra, tol: float = 1e-10) -> bool:
-    return negligible(closure_defect(omega, g), tol, max(1.0, float(np.abs(omega).max())))
+    return negligible(closure_defect(omega, g), tol, omega)
 
 
 def invariance_defect(omega: np.ndarray, j: np.ndarray):
@@ -158,8 +158,7 @@ def invariance_defect(omega: np.ndarray, j: np.ndarray):
 
 def j_invariant(omega: np.ndarray, j: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff Omega(Jx, Jy) = Omega(x, y) within tol (exact zero for object input)."""
-    return negligible(invariance_defect(omega, j), tol,
-                      max(1.0, float(np.abs(np.asarray(omega, dtype=float)).max())))
+    return negligible(invariance_defect(omega, j), tol, omega)
 
 
 def closed_invariant_space(n: int) -> list[np.ndarray]:
@@ -272,8 +271,7 @@ class OmegaParams:
                 dm[i, i] = vec[i]
         dm = _coerce_block(dm, (n, n), fld)
         for name, b, sym in (("a1", a1, -1), ("a2", a2, 1), ("k", k, -1), ("d", dm, 1)):
-            scale = max(1.0, float(np.abs(np.asarray(b, dtype=float)).max()))
-            if not negligible(maxabs(b - sym * b.T), 1e-12, scale):
+            if not negligible(maxabs(b - sym * b.T), 1e-12, b):
                 kind = "antisymmetric" if sym < 0 else "symmetric"
                 raise ValueError(f"{name} must be {kind}")
         if self.n > 1 and (self.c1 != 0 or self.c2 != 0):
@@ -353,9 +351,8 @@ def build_omega(params: OmegaParams) -> np.ndarray:
         w(f[0], zs, params.c2)
         w(e[0], z, params.c2)
     j0 = standard_complex_structure(n, exact=fld.exact)
-    scale = max(1.0, float(np.abs(out).max()))
-    assert negligible(closure_defect(out, g), 1e-10, scale)
-    assert negligible(invariance_defect(out, j0), 1e-10, scale)
+    assert negligible(closure_defect(out, g), 1e-10, out)
+    assert negligible(invariance_defect(out, j0), 1e-10, out)
     return out
 
 
@@ -398,7 +395,7 @@ def matches_omega_template(omega: np.ndarray, n: int, tol: float = 1e-10) -> boo
         rebuilt = build_omega(extract_omega_params(omega, n))
     except (ValueError, AssertionError):
         return False
-    return negligible(maxabs(omega - rebuilt), tol, max(1.0, float(np.abs(omega).max())))
+    return negligible(maxabs(omega - rebuilt), tol, omega)
 
 
 def is_nondegenerate(omega: np.ndarray, tol: float = 1e-12) -> bool:
@@ -426,10 +423,9 @@ def pseudo_kahler_metric(omega: np.ndarray, n: int) -> np.ndarray:
     # (J0^T Omega)[c, q] = sgn_c Omega[img_c, q], J0 being a signed permutation
     img, sgn = _j0_permutation(n)
     s = np.array(sgn)[:, None] * omega[img]
-    scale = max(1.0, float(np.abs(s).max()))
-    assert negligible(maxabs(s - s.T), 1e-10, scale)
+    assert negligible(maxabs(s - s.T), 1e-10, s)
     j0 = standard_complex_structure(n, exact=_exact.is_exact(omega))
-    assert negligible(hermitian_defect(j0, s), 1e-10, scale)
+    assert negligible(hermitian_defect(j0, s), 1e-10, s)
     return s
 
 
@@ -456,10 +452,9 @@ def certify_pseudo_kahler(params: OmegaParams) -> dict:
     riem = riemann(g, gamma)
     ric1 = ricci_from_riemann(riem)
     one, two = ricci_nilpotent_summands(g, s)
-    scale = max(1.0, float(np.abs(np.asarray(s, dtype=float)).max()) ** 2)
 
     def allzero(m):
-        return negligible(maxabs(m), 1e-9, scale)
+        return negligible(maxabs(m), 1e-9, s, power=2)
 
     flat = is_flat(riem)
     witness = None
@@ -468,7 +463,7 @@ def certify_pseudo_kahler(params: OmegaParams) -> dict:
         for (i, j) in blocks:
             comp = riem[i, j]
             mags = np.abs(comp)
-            if not negligible(mags.max(), 1e-10, 1.0):
+            if not negligible(mags.max(), 1e-10):
                 kk, ll = np.unravel_index(mags.argmax(), mags.shape)
                 witness = (g.basis_names[i], g.basis_names[j], g.basis_names[kk],
                            g.basis_names[ll], comp[kk, ll])

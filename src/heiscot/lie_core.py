@@ -184,19 +184,10 @@ class LieAlgebra:
         return _exact.nullspace_sparse(rows, self.dim)
 
     def derived_subalgebra(self) -> list[np.ndarray]:
-        """Exact basis of [g, g] (span of all basis brackets)."""
-        vecs = []
-        for (i, j, _, _) in self.constants:
-            vecs.append({k: v for (k, v) in self._lookup[(i, j)] if v})
-        pivots = _exact._eliminate(vecs)
-        basis = []
-        for col in sorted(pivots):
-            row = pivots[col]
-            vec = fzeros(self.dim)
-            for k, v in row.items():
-                vec[k] = v
-            basis.append(vec)
-        return basis
+        """Exact basis of [g, g] (span of all basis brackets): its reduced row
+        echelon basis, one Fraction vector per pivot with pivot entry 1."""
+        vecs = [{k: v for (k, v) in self._lookup[(i, j)] if v} for (i, j, _, _) in self.constants]
+        return _exact.rowspace_sparse(vecs, self.dim)
 
     def jacobi_defect(self) -> Fraction:
         """Max |coefficient| of the cyclic Jacobi sum over all basis triples; 0 iff Jacobi holds."""

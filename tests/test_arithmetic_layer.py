@@ -3,7 +3,9 @@
 Every exact predicate must decide with ``== 0``.  A perturbation of
 10^-400 underflows to 0.0 in float, so a predicate that rounds an exact
 defect through float accepts the perturbed input; each one below must
-reject it and accept the unperturbed one.
+reject it and accept the unperturbed one.  An entry of 10^400 overflows
+float, so a predicate that sizes a float tolerance for exact input raises
+``OverflowError``; each one must decide such input instead.
 """
 
 from fractions import Fraction
@@ -35,6 +37,7 @@ from heiscot.forms_kahler import (
 from heiscot.lie_core import build_thn
 
 TINY = Fraction(1, 10 ** 400)
+HUGE = 10 ** 400
 
 
 @pytest.mark.parametrize("kind", [Fraction, int, np.int64])
@@ -50,14 +53,23 @@ def test_negligible_rational_below_float_resolution():
     assert not negligible(TINY, 1e-10, 1.0)
 
 
+def test_negligible_exact_defect_never_sizes_its_operands():
+    assert negligible(Fraction(0), 1e-10, fmat([[HUGE]]), power=3)
+    assert not negligible(TINY, 1e-10, fmat([[HUGE]]), power=3)
+
+
 @pytest.mark.parametrize("kind", [float, np.float64])
 def test_negligible_float_boundary_is_tol_times_scale(kind):
-    tol, scale = 1e-10, 3.0
-    bound = tol * scale
-    assert negligible(kind(bound), tol, scale)
-    assert negligible(kind(-bound), tol, scale)
-    assert not negligible(kind(np.nextafter(bound, 1.0)), tol, scale)
-    assert not negligible(kind("nan"), tol, scale)
+    # scale = max(1, max |entry| of each operand) ** power = 3.0 ** 2
+    tol, operands, power = 1e-10, (np.array([[0.5, -3.0]]), 2.0), 2
+    bound = tol * 3.0 ** 2
+    assert negligible(kind(bound), tol, *operands, power=power)
+    assert negligible(kind(-bound), tol, *operands, power=power)
+    assert not negligible(kind(np.nextafter(bound, 1.0)), tol, *operands, power=power)
+    assert not negligible(kind("nan"), tol, *operands, power=power)
+    # no operand, or only small ones: the scale is 1
+    assert negligible(kind(tol), tol) and negligible(kind(tol), tol, np.array([0.25]))
+    assert not negligible(kind(np.nextafter(tol, 1.0)), tol, np.array([0.25]), power=3)
 
 
 def test_field_choice_and_constructors():
@@ -158,6 +170,61 @@ def test_exact_predicate_sees_a_defect_below_float_resolution(name):
     accepts = ACCEPTS[name]
     assert accepts(0), "the unperturbed exact input is accepted"
     assert not accepts(TINY), "a nonzero exact defect is rejected"
+
+
+def _aut_params(n, scale):
+    p = identity_params(n, exact=True)
+    return AutParams(Fbar1=scale * p.Fbar1, u1=p.u1, v1=p.v1, f1=p.f1, F3=p.F3)
+
+
+def _huge_member(jbar3=None):
+    return IntegrableFamily(1).member(1, HUGE, jbar3, exact=True)
+
+
+# each predicate on an input with entries of size 10^400, and its verdict
+SCALED = {
+    # a family member (n2 = 10^400) is integrable, and matches the family
+    "is_integrable": (lambda: is_integrable(_huge_member(), build_thn(1)), True),
+    "IntegrableFamily.member": (
+        lambda: not _rejects(lambda: _huge_member(HUGE * fmat([[1, 2], [2, -1]]))), True),
+    "match_family": (
+        lambda: match_family(_huge_member(HUGE * fmat([[1, 2], [2, -1]])), 1) is not None, True),
+    # J0 is orthogonal, so every multiple of Id is Hermitian
+    "is_hermitian": (lambda: is_hermitian(standard_complex_structure(1, exact=True),
+                                          HUGE * feye(6)), True),
+    # omega4 = 10^400, not 1
+    "matches_hermitian_family": (lambda: matches_hermitian_family(HUGE * feye(6), 1), False),
+    # [10^400 x, 10^400 y] = 10^800 [x, y] differs from [x, y] on a bracketing pair
+    "is_abelian_complex_structure": (
+        lambda: is_abelian_complex_structure(HUGE * feye(6), build_thn(1))[0], False),
+    # closure, J0-invariance and the template are linear in Omega (mu = 10^400)
+    "is_closed": (lambda: is_closed(HUGE * _omega(0, (0, 5)), build_thn(1)), True),
+    "j_invariant": (lambda: j_invariant(HUGE * _omega(0, (0, 5)),
+                                        standard_complex_structure(1, exact=True)), True),
+    "matches_omega_template": (lambda: matches_omega_template(HUGE * _omega(0, (0, 5)), 1), True),
+    # a2 = [[10^400]] is symmetric, as a2 must be
+    "OmegaParams.blocks": (
+        lambda: not _rejects(lambda: OmegaParams(n=1, a2=fmat([[HUGE]]), exact=True).blocks()),
+        True),
+    # Fbar1 = 10^400 Id is conformal symplectic (f4 = 10^800), and assembles
+    "AutParams.f4": (lambda: not _rejects(lambda: _aut_params(2, HUGE).f4()), True),
+    "assemble": (lambda: not _rejects(lambda: assemble(_aut_params(2, HUGE), build_thn(2))), True),
+    # 10^400 Id maps [x, y] to 10^400 [x, y], not to 10^800 [x, y]
+    "is_automorphism": (lambda: is_automorphism(HUGE * feye(6), build_thn(1)), False),
+    # 10^400 times the pairing is ad-invariant with alpha = 10^400
+    "normalize_ad_invariant": (lambda: not _rejects(
+        lambda: normalize_ad_invariant(HUGE * pairing_metric(1, exact=True), build_thn(1))), True),
+}
+
+
+def test_every_predicate_has_a_scaled_case():
+    assert set(SCALED) == set(ACCEPTS)
+
+
+@pytest.mark.parametrize("name", sorted(SCALED))
+def test_exact_predicate_decides_on_input_beyond_float_range(name):
+    decide, expected = SCALED[name]
+    assert decide() is expected
 
 
 def test_integrability_report_exact_defects_stay_exact():

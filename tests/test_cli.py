@@ -26,6 +26,19 @@ def test_n0_is_a_validation_error(capsys):
     assert run(["reduce", "--n", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--seed", "-1"],
+    ["complex", "--tol", "nan"],
+    ["complex", "--tol", "inf"],
+    ["complex", "--tol", "-1"],
+    ["complex", "--tol", "0"],
+])
+def test_bad_seed_or_tol_is_a_validation_error(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         run(["frobnicate"])

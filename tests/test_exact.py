@@ -15,6 +15,8 @@ from heiscot._exact import (
     is_exact,
     ldl_inertia,
     nullspace_sparse,
+    rank_sparse,
+    rowspace_sparse,
     solve,
     to_float,
 )
@@ -57,6 +59,46 @@ def test_nullspace_sparse_known_kernel():
     assert v[0] == -v[1] == v[2] != 0
 
 
+def test_det_of_permutations_and_singular_matrices():
+    swap = fmat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert det(swap) == -1
+    assert det(fmat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])) == 1
+    assert det(fmat([[1, 2], [2, 4]])) == 0
+    assert det(fmat([[0, 1], [0, 3]])) == 0
+    assert det(fmat([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])) == Fraction(1, 3)
+
+
+# 3x + y + 7z = 0, x + 2y + 5z = 0, and their sum: rank 2, kernel (-9/5, -8/5, 1)
+INT_ROWS = [{0: 3, 1: 1, 2: 7}, {0: 1, 1: 2, 2: 5}, {0: 4, 1: 3, 2: 12}]
+
+
+@pytest.mark.parametrize("kind", [Fraction, int, np.int64])
+def test_sparse_solvers_are_exact_for_any_rational_coefficients(kind):
+    rows = [{c: kind(v) for c, v in row.items()} for row in INT_ROWS]
+    assert rank_sparse(rows) == 2
+    (v,) = nullspace_sparse(rows, 3)
+    assert v.tolist() == [Fraction(-9, 5), Fraction(-8, 5), Fraction(1)]
+    assert all(type(x) is Fraction for x in v)
+    assert [r.tolist() for r in rowspace_sparse(rows, 3)] == [
+        [1, 0, Fraction(9, 5)], [0, 1, Fraction(8, 5)]]
+
+
+def test_sparse_solvers_reject_float_coefficients():
+    rows = [{0: 3.0, 1: 1, 2: 7}, {0: 1, 1: 2, 2: 5}]
+    with pytest.raises(TypeError):
+        nullspace_sparse(rows, 3)
+    with pytest.raises(TypeError):
+        rank_sparse(rows)
+
+
+def test_nullspace_sparse_rational_rows_and_zero_rows():
+    # (1/2) x - (1/3) y = 0 and a row that cancels to zero: kernel (2/3, 1, 0), (0, 0, 1)
+    rows = [{0: Fraction(1, 2), 1: Fraction(-1, 3)}, {0: Fraction(3), 1: Fraction(-2)}]
+    basis = nullspace_sparse(rows, 3)
+    assert [v.tolist() for v in basis] == [[Fraction(2, 3), 1, 0], [0, 0, 1]]
+    assert rank_sparse(rows) == 1
+
+
 def test_ldl_inertia_signature():
     a = fmat([[2, 0, 0], [0, -3, 0], [0, 0, 0]])
     assert ldl_inertia(a) == (1, 1, 1)
@@ -67,3 +109,35 @@ def test_ldl_inertia_signature():
 def test_is_exact_discriminates():
     assert is_exact(feye(2))
     assert not is_exact(np.eye(2))
+
+
+def _eig_inertia(s):
+    w = np.linalg.eigvalsh(to_float(s))
+    tol = 1e-9 * max(1.0, np.abs(w).max())
+    return int((w > tol).sum()), int((w < -tol).sum()), int((np.abs(w) <= tol).sum())
+
+
+def _seeded_symmetric(seed):
+    """Q^T D Q for an integer D (zeros included) and a unimodular integer Q,
+    then on every third seed an all-zero-diagonal hyperbolic form [[0, B], [B^T, 0]]."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    if seed % 3 == 2:
+        b = rng.integers(-2, 3, size=(d, d))
+        z = np.zeros((d, d), dtype=int)
+        return np.block([[z, b], [b.T, z]])
+    upper = np.eye(d, dtype=int) + np.triu(rng.integers(-1, 2, size=(d, d)), 1)
+    lower = np.eye(d, dtype=int) + np.tril(rng.integers(-1, 2, size=(d, d)), -1)
+    q = upper @ lower
+    return q.T @ np.diag(rng.integers(-3, 4, size=d)) @ q
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_ldl_inertia_matches_eigenvalue_signs(seed):
+    s = _seeded_symmetric(seed)
+    expected = _eig_inertia(s)
+    p, q, z = expected
+    assert ldl_inertia(fmat(s.tolist())) == expected
+    # a positive rational rescaling keeps the inertia, a negative one swaps p and q
+    assert ldl_inertia(Fraction(3, 7) * fmat(s.tolist())) == expected
+    assert ldl_inertia(Fraction(-5, 2) * fmat(s.tolist())) == (q, p, z)
