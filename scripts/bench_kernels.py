@@ -19,7 +19,12 @@ warm), for every n in ``NS``:
   ``certify_pseudo_kahler`` of its parameters;
 * ``random_ad_invariant``, one exact draw;
 * ``derivation_algebra``, the largest sparse nullspace, and the exact
-  ``signature`` (``ldl_inertia``) of the pseudo-Kahler metric.
+  ``signature`` (``ldl_inertia``) of the pseudo-Kahler metric;
+* ``reduce_with_diagnostics`` of a random metric, at n = 1 only
+  (``reduce_n1``), where step 2 kills t1 and t4 together;
+* ``are_equivalent`` on an orbit pair (a random metric and its pullback
+  by a random automorphism) and on a repeated-sigma pair (two templates
+  with sigma = (1, ..., 1) that the residual group does not align).
 
 The kernels of this checkout's ``src/`` are always timed.  With
 ``--parent DIR``, where DIR holds another revision of the repository (for
@@ -47,7 +52,7 @@ NS = (1, 2, 3, 4, 5)
 KERNELS = ("integrability_report_exact", "integrability_report_float", "bracket_defect_float",
            "hermitian_metric_space", "hermitian_defect_exact", "inv_exact", "det_exact",
            "riemann_exact", "certify_pseudo_kahler", "random_ad_invariant", "nullspace_exact",
-           "ldl_inertia_exact")
+           "ldl_inertia_exact", "reduce_n1", "are_equivalent_orbit", "are_equivalent_repeated")
 
 
 def _inputs(n):
@@ -60,6 +65,7 @@ def _inputs(n):
     from heiscot.complex_structures import IntegrableFamily, anticommuting_block, standard_complex_structure
     from heiscot.forms_kahler import build_omega, is_nondegenerate, pseudo_kahler_metric, random_omega_params
     from heiscot.lie_core import build_thn
+    from heiscot.metric_moduli import CanonicalMetric, act, random_positive_definite
 
     g = build_thn(n)
     rng = np.random.default_rng(100 + n)
@@ -77,8 +83,15 @@ def _inputs(n):
         if is_nondegenerate(omega):
             break
     aut_exact = random_automorphism(n, g, rng=rng, exact=True).matrix
+    s = random_positive_definite(g, rng)
+    orbit = (s, act(random_automorphism(n, g, rng=rng), s))
+    ones = (1.0,) * n
+    s4 = np.eye(2 * n)
+    s4[0, 1] = s4[1, 0] = 0.4
+    repeated = (CanonicalMetric(sigma=ones, S4bar=np.eye(2 * n), omega4=1.5).matrix(),
+                CanonicalMetric(sigma=ones, S4bar=s4, omega4=1.5).matrix())
     return (g, j_exact, j_float, aut, standard_complex_structure(n, exact=True), a + a.T,
-            params, pseudo_kahler_metric(omega, n), aut_exact)
+            params, pseudo_kahler_metric(omega, n), aut_exact, orbit, repeated)
 
 
 def _worker():
@@ -91,6 +104,7 @@ def _worker():
     from heiscot.curvature import levi_civita, riemann, signature
     from heiscot.forms_kahler import certify_pseudo_kahler
     from heiscot.lie_core import derivation_algebra
+    from heiscot.metric_moduli import are_equivalent, reduce_with_diagnostics
 
     def best(fn):
         times = []
@@ -102,7 +116,7 @@ def _worker():
 
     out = {k: {} for k in KERNELS}
     for n in NS:
-        g, j_exact, j_float, aut, j0, s, params, metric, aut_exact = _inputs(n)
+        g, j_exact, j_float, aut, j0, s, params, metric, aut_exact, orbit, repeated = _inputs(n)
         gamma = levi_civita(g, metric)
         rng = np.random.default_rng(n)
         out["integrability_report_exact"][n] = best(lambda: integrability_report(j_exact, g))
@@ -117,6 +131,10 @@ def _worker():
         out["random_ad_invariant"][n] = best(lambda: random_ad_invariant(g, rng))
         out["nullspace_exact"][n] = best(lambda: derivation_algebra(g))
         out["ldl_inertia_exact"][n] = best(lambda: signature(metric))
+        if n == 1:
+            out["reduce_n1"][n] = best(lambda: reduce_with_diagnostics(orbit[0], g))
+        out["are_equivalent_orbit"][n] = best(lambda: are_equivalent(*orbit, g))
+        out["are_equivalent_repeated"][n] = best(lambda: are_equivalent(*repeated, g))
     json.dump(out, sys.stdout)
 
 

@@ -7,13 +7,13 @@ Usage (from the repository root)::
 Both this checkout's ``src/`` and ``DIR/src`` run ``heiscot all --json``
 at every seed in ``SEEDS`` (the n = 1..3 sweep) and at seed 1 for every n
 in ``NS``, each run in a fresh process with one BLAS thread.  Reports are
-compared check by check, ignoring ``elapsed_ms``; a run that raises (seed
-30 does) is compared by the exception's type and message.  Without
+compared check by check, ignoring ``elapsed_ms``; a run that raises is
+compared by the exception's type and message.  Without
 ``--parent`` the other revision is the last commit, unpacked with
 ``git archive HEAD`` into a temporary directory.
 
-Prints the first differing (seed, n, verb, check) with both values and
-exits 1, or prints the number of runs compared and exits 0.
+Prints every differing (seed, n, verb, check) with both values and exits
+1, or prints the number of runs compared and exits 0.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEEDS = (*range(1, 21), 30, 38)
+SEEDS = (*range(1, 21), 30, 38, 54, 58, 84, 85, 86, 89)
 NS = (1, 2, 3, 4, 5)
 WORKERS = 2
 
@@ -68,23 +68,25 @@ def _run(src: Path, seed: int, n: int | None) -> dict:
     return out
 
 
-def first_difference(seed: int, n: int | None, a: dict, b: dict) -> str | None:
-    """The first differing (seed, n, verb, check) of two runs, with both values."""
+def differences(seed: int, n: int | None, a: dict, b: dict) -> list[str]:
+    """Every differing (seed, n, verb, check) of two runs, with both values."""
     where = f"seed {seed}, n {'1..3' if n is None else n}"
     if "error" in a or "error" in b:
         if a.get("error") != b.get("error"):
-            return f"{where}: exception {a.get('error')} != {b.get('error')}"
-        return None
+            return [f"{where}: {a.get('error', 'no exception')} != {b.get('error', 'no exception')}"]
+        return []
+    out = []
     for ra, rb in zip_longest(a["reports"], b["reports"]):
         if ra is None or rb is None or (ra["command"], ra["n"]) != (rb["command"], rb["n"]):
-            return f"{where}: report {ra and ra['command']} != {rb and rb['command']}"
+            out.append(f"{where}: report {ra and ra['command']} != {rb and rb['command']}")
+            continue
         for ca, cb in zip_longest(ra["checks"], rb["checks"]):
             if ca != cb:
                 name = (ca or cb)["name"]
-                return f"seed {seed}, n {ra['n']}, {ra['command']}, {name}: {ca} != {cb}"
+                out.append(f"seed {seed}, n {ra['n']}, {ra['command']}, {name}: {ca} != {cb}")
     if a["code"] != b["code"]:
-        return f"{where}: exit code {a['code']} != {b['code']}"
-    return None
+        out.append(f"{where}: exit code {a['code']} != {b['code']}")
+    return out
 
 
 def compare(parent: Path) -> int:
@@ -92,11 +94,12 @@ def compare(parent: Path) -> int:
     with ThreadPoolExecutor(WORKERS) as pool:
         mine = [pool.submit(_run, ROOT / "src", *job) for job in jobs]
         theirs = [pool.submit(_run, parent / "src", *job) for job in jobs]
-        for job, fa, fb in zip(jobs, theirs, mine):
-            diff = first_difference(*job, fa.result(), fb.result())
-            if diff is not None:
-                print(f"parent != change at {diff}")
-                return 1
+        diffs = [diff for job, fa, fb in zip(jobs, theirs, mine)
+                 for diff in differences(*job, fa.result(), fb.result())]
+    for diff in diffs:
+        print(f"parent != change at {diff}")
+    if diffs:
+        return 1
     print(f"{len(jobs)} runs identical modulo elapsed_ms")
     return 0
 

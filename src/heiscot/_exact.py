@@ -215,9 +215,12 @@ def _gauss_jordan(work: list[list[int]]) -> tuple[int, int]:
     """Bareiss fraction-free Gauss-Jordan elimination of square-led int rows,
     in place: every row is reduced against every pivot with exact division
     by the previous one, and then drops its first entry, so the rows of
-    [B | I] end as those of p B^{-1}.  Returns (sign of the row swaps, last
-    pivot p), so det B = sign * p; (0, 0) when B is singular."""
+    [B | I] end as those of p B^{-1}.  Rows of B alone (no identity block)
+    are only reduced below each pivot, forward Bareiss, since nothing reads
+    the rows above.  Returns (sign of the row swaps, last pivot p), so
+    det B = sign * p; (0, 0) when B is singular."""
     d = len(work)
+    jordan = bool(work) and len(work[0]) > d
     sign, prev = 1, 1
     for col in range(d):
         piv = next((r for r in range(col, d) if work[r][0]), None)
@@ -229,7 +232,8 @@ def _gauss_jordan(work: list[list[int]]) -> tuple[int, int]:
         prow = work[col]
         p = prow[0]
         tail = prow[1:]
-        for r, row in enumerate(work):
+        for r in range(0 if jordan else col, d):
+            row = work[r]
             f = row[0]
             if r == col:
                 work[r] = tail
@@ -269,8 +273,8 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def det(a: np.ndarray) -> Fraction:
-    """Exact determinant, det B / prod s_i for A = diag(1/s) B, from the
-    elimination of :func:`inv` without its identity block.
+    """Exact determinant, det B / prod s_i for A = diag(1/s) B, by forward
+    Bareiss: the elimination of :func:`inv` without its identity block.
 
     Raises
     ------

@@ -6,10 +6,16 @@ The automorphism action S -> F^T S F is reduced in four steps:
    complement on the noncentral block).
 2. The center-pairing vectors t1 = <z*, (e, f)> and, for n = 1 only,
    t4 = <z, (e*, f*)> are eliminated.  For n = 1 the (u1, v1) system is
-   genuinely coupled (each elimination re-introduces the other vector), so
-   a small Newton iteration solves both at once.  For n >= 2 only v1
-   exists, killing t1; nothing in the group can touch t4, which is why the
-   diagonal template below is unreachable for generic metrics when n >= 2.
+   genuinely coupled (each elimination re-introduces the other vector), and
+   it is solved in closed form: the dual block is the cofactor matrix
+   F4 = det(F1) F1^{-T}, so S4^{-1} moves by congruence with F1 just as S1
+   does, up to det(F1)^2.  Killing t1 and t4 together says that the last
+   column l = (v1, 1) of F1 is an eigenvector of the pencil
+   (S4^{-1}, S1); then u1 = -c[:2] / c[2] with c = S1 l.  Of the (up to
+   three) eigenvectors, which differ by the center slot flips, the one with
+   the smallest (u1, v1) is taken.  For n >= 2 only v1 exists, killing t1;
+   nothing in the group can touch t4, which is why the diagonal template
+   below is unreachable for generic metrics when n >= 2.
 3. Symplectic (Williamson) diagonalization of the (e, f) block, followed by
    the conformal scale that pins sigma_n = 1 and the z*-scale f1 that pins
    omega1 = 1.
@@ -30,9 +36,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import eigh, schur
 
 from .lie_core import LieAlgebra, standard_symplectic
 from .automorphism import (
@@ -242,6 +249,38 @@ def _zeros_params(n: int, fb1=None, u1=None, v1=None, f1=1.0, f3=None) -> AutPar
     )
 
 
+def _center_pairings(s: np.ndarray) -> list:
+    """Every (u1, v1) that kills t1 and t4 of an n = 1 metric with S2 = 0, smallest first.
+
+    The step F1 = [[E, v1], [u1^T, 1]] has dual block F4 = det(F1) F1^{-T},
+    so it moves S1 to F1^T S1 F1 and S4^{-1} to det(F1)^{-2} F1^T S4^{-1} F1.
+    Both t1 and t4 vanish iff the first two columns of F1 are orthogonal to
+    S1 l and to S4^{-1} l, l = (v1, 1) the last column: l is an eigenvector
+    of the pencil (S4^{-1}, S1), and then u1 = -c[:2] / c[2] with c = S1 l.
+    The eigenvectors l_k are S1-orthonormal, so sum_k l_k c_k^T = E and
+    some l_k has l_z c_z != 0.  The (up to three) eigenvectors with
+    l_z, c_z != 0 give reduced forms that differ by the center slot flips.
+    """
+    s1 = s[:3, :3]
+    _, ells = eigh(np.linalg.inv(s[3:, 3:]), s1)
+    out = []
+    for ell in ells.T:
+        c = s1 @ ell
+        if ell[2] != 0 and c[2] != 0:
+            out.append((-c[:2] / c[2], ell[:2] / ell[2]))
+    return sorted(out, key=lambda uv: max(np.abs(uv[0]).max(), np.abs(uv[1]).max()))
+
+
+def _center_pairing(s: np.ndarray, g: LieAlgebra) -> Automorphism:
+    """Step 2 on a metric with S2 = 0: kill t1, and t4 too when n = 1."""
+    n = g.n
+    if n == 1:
+        u1, v1 = _center_pairings(s)[0]
+        return assemble(_zeros_params(n, u1=u1, v1=v1), g)
+    s1b, t1, _, _, _, _, _ = split_blocks(s, n)
+    return assemble(_zeros_params(n, v1=-np.linalg.solve(s1b, t1)), g)
+
+
 def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
     """Run the four-step reduction and return whatever it achieves.
 
@@ -278,44 +317,7 @@ def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
     cur = _sym(act(step, cur))
 
     # step 2: center-pairing elimination
-    if n == 1:
-        def resid(x):
-            try:
-                fx = assemble(_zeros_params(n, u1=x[:2].copy(), v1=x[2:].copy()), g)
-            except ValueError:
-                return None
-            sx = act(fx, cur)
-            _, t1x, _, _, t4x, _, _ = split_blocks(sx, n)
-            return np.concatenate([t1x, t4x])
-
-        x = np.zeros(4)
-        r = resid(x)
-        for _ in range(100):
-            if np.abs(r).max() < 1e-14 * scale:
-                break
-            jac = np.zeros((4, 4))
-            h = 1e-7
-            for kcol in range(4):
-                xp = x.copy()
-                xp[kcol] += h
-                rp = resid(xp)
-                if rp is None:
-                    rp = r
-                jac[:, kcol] = (rp - r) / h
-            delta = np.linalg.solve(jac, r)
-            x_new = x - delta
-            r_new = resid(x_new)
-            while r_new is None:
-                # backtrack past the measure-zero set where F1 degenerates
-                delta = delta / 2
-                x_new = x - delta
-                r_new = resid(x_new)
-            x, r = x_new, r_new
-        step = assemble(_zeros_params(n, u1=x[:2].copy(), v1=x[2:].copy()), g)
-    else:
-        s1b, t1, _, _, _, _, _ = split_blocks(cur, n)
-        v1 = -np.linalg.solve(s1b, t1)
-        step = assemble(_zeros_params(n, v1=v1), g)
+    step = _center_pairing(cur, g)
     f_total = f_total @ step
     cur = _sym(act(step, cur))
 
@@ -424,6 +426,57 @@ def _center_slot_flips(g: LieAlgebra) -> list:
     return [Automorphism(matrix=phi_e, n=1), Automorphism(matrix=phi_f, n=1)]
 
 
+def _walk_residual_group(g: LieAlgebra, rotations):
+    """(label, element) of the residual finite group, quarter turns ks from rotations.
+
+    Each element is rot(ks) (@ reflection) (@ center slot flip), built from
+    assembled, bracket-checked factors; label = (ks, with_refl, flip index).
+    """
+    n = g.n
+    refl_fb1 = np.eye(2 * n)
+    refl_fb1[n:, n:] *= -1.0
+    reflection = assemble(_zeros_params(n, fb1=refl_fb1), g)
+    extras = [None] + _center_slot_flips(g)
+    for ks in rotations:
+        rot = symplectic_rotation([k * np.pi / 2 for k in ks], g)
+        for with_refl in (False, True):
+            base = rot @ reflection if with_refl else rot
+            for flip, post in enumerate(extras):
+                yield (ks, with_refl, flip), (base @ post if post is not None else base)
+
+
+# candidates per vectorized congruence in _residual_group_matches: bounds its temporaries
+_CHUNK = 64
+
+
+@cache
+def _residual_group(g: LieAlgebra) -> tuple:
+    """The residual finite group as signed permutations, in search order; built once per algebra.
+
+    Every element maps each basis vector to plus or minus another, so it is
+    stored as row k of (labels, perms, signs), element[:, j] =
+    signs[k, j] e_{perms[k, j]}.  The arrays are read-only, because the
+    table is shared.
+    """
+    cols = np.arange(g.dim)
+    labels, perms, signs = [], [], []
+    for label, elem in _walk_residual_group(g, itertools.product(range(4), repeat=g.n)):
+        m = elem.matrix
+        perm = np.abs(m).argmax(axis=0)
+        sign = np.sign(m[perm, cols])
+        signed = np.zeros_like(m)
+        signed[perm, cols] = sign
+        if not np.array_equal(np.sort(perm), cols) or np.abs(m - signed).max() > 1e-12:
+            raise ValueError(f"residual group element {label} is not a signed permutation")
+        labels.append(label)
+        perms.append(perm)
+        signs.append(sign)
+    perms, signs = np.array(perms), np.array(signs)
+    perms.flags.writeable = False
+    signs.flags.writeable = False
+    return tuple(labels), perms, signs
+
+
 def _residual_group_matches(r1: ReductionResult, r2: ReductionResult, g: LieAlgebra,
                             tol: float):
     """Search the residual finite group for an alignment of the reduced data.
@@ -433,22 +486,24 @@ def _residual_group_matches(r1: ReductionResult, r2: ReductionResult, g: LieAlge
     preserve the template constraints while permuting plane diagonals and
     flipping signs in S4bar and t4.  For n = 1 the two center slot flips
     extend this to all six arrangements of (S4bar diagonal, omega4).
+
+    All these elements are signed permutations, tabulated once per algebra
+    by :func:`_residual_group`, so a candidate W moves R to
+    W^T R W = R[perm][:, perm] * outer(sign, sign), one indexed congruence;
+    it is evaluated for ``_CHUNK`` candidates at a time, in search order.
+    Only the first match is assembled again, from its label, so the
+    returned element is the one the assembled enumeration would return.
     """
-    n = g.n
-    scale = max(1.0, np.abs(r2.reduced).max())
-    refl_fb1 = np.eye(2 * n)
-    refl_fb1[n:, n:] *= -1.0
-    reflection = assemble(_zeros_params(n, fb1=refl_fb1), g)
-    extras = [None] + _center_slot_flips(g)
-    for ks in itertools.product(range(4), repeat=n):
-        rot = symplectic_rotation([k * np.pi / 2 for k in ks], g)
-        for with_refl in (False, True):
-            base = rot @ reflection if with_refl else rot
-            for post in extras:
-                elem = base @ post if post is not None else base
-                moved = act(elem, r1.reduced)
-                if np.abs(moved - r2.reduced).max() <= tol * scale:
-                    return elem
+    labels, perms, signs = _residual_group(g)
+    a, b = r1.reduced, r2.reduced
+    bound = tol * max(1.0, np.abs(b).max())
+    for start in range(0, len(labels), _CHUNK):
+        p, s = perms[start:start + _CHUNK], signs[start:start + _CHUNK]
+        moved = a[p[:, :, None], p[:, None, :]] * (s[:, :, None] * s[:, None, :])
+        hits = np.flatnonzero(np.abs(moved - b).max(axis=(1, 2)) <= bound)
+        if hits.size:
+            label = labels[start + hits[0]]
+            return next(elem for lab, elem in _walk_residual_group(g, [label[0]]) if lab == label)
     return None
 
 
@@ -462,10 +517,12 @@ def are_equivalent(s1: np.ndarray, s2: np.ndarray, g: LieAlgebra,
     residual finite group of quarter turns, the reflection, and for n = 1
     the center slot flips) give "equivalent" with an explicit witness
     W satisfying act(W, s1) = s2.  Matching sigmas with differing data are
-    "distinct" for n = 1, where the template is complete up to that group, and
-    "inconclusive" otherwise: for repeated sigmas a wider stabilizer can
-    identify different templates, and for n >= 2 completeness of the
-    partially reduced data is not established.
+    "distinct" for n = 1 when both reductions reached the template (residual
+    at most 1e-9 times the metric's scale), which is complete up to that
+    group, and "inconclusive" otherwise: a reduction off the template proves
+    nothing, for repeated sigmas a wider stabilizer can identify different
+    templates, and for n >= 2 completeness of the partially reduced data is
+    not established.
     """
     n = g.n
     r1 = reduce_with_diagnostics(s1, g)
@@ -485,7 +542,8 @@ def are_equivalent(s1: np.ndarray, s2: np.ndarray, g: LieAlgebra,
         if is_automorphism(w_mat, g, tol=1e-9) and \
                 np.abs(act(witness, s1) - s2).max() <= 10 * tol * max(1.0, np.abs(s2).max()):
             return EquivalenceResult("equivalent", witness, detail)
-    if repeated or n >= 2:
+    reached = all(r.residual <= 1e-9 * max(1.0, np.abs(s).max()) for r, s in ((r1, s1), (r2, s2)))
+    if repeated or n >= 2 or not reached:
         return EquivalenceResult("inconclusive", None, detail)
     return EquivalenceResult("distinct", None, detail)
 

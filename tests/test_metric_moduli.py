@@ -1,9 +1,15 @@
 """Reduction of positive-definite metrics to the diagonal template."""
 
+import dataclasses
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from heiscot.automorphism import is_automorphism, random_automorphism
+from heiscot import metric_moduli
+from heiscot.automorphism import assemble, is_automorphism, random_automorphism
+from heiscot.cli import run
 from heiscot.lie_core import build_thn
 from heiscot.metric_moduli import (
     CanonicalMetric,
@@ -159,3 +165,124 @@ def test_split_blocks_shapes(algebras):
     assert t1.shape == (4,) and t4.shape == (4,)
     assert s2.shape == (5, 5)
     assert om1 == s[4, 4] and om4 == s[9, 9]
+
+
+@pytest.mark.parametrize("seed", [11, 30, 38, 54, 58, 84, 85, 86, 89])
+def test_all_n1_passes_at_former_newton_failures(capsys, seed):
+    # the finite-difference Newton step 2 reported orbit pairs as distinct,
+    # missed the template, or failed assemble's bracket check at these seeds
+    assert run(["all", "--json", "--n", "1", "--seed", str(seed)]) == 0
+
+
+def _without_s2(s):
+    """The metric as step 2 sees it: step 1 has killed the block S2."""
+    s = s.copy()
+    s[:3, 3:] = 0.0
+    s[3:, :3] = 0.0
+    return s
+
+
+def test_center_pairing_kills_t1_and_t4(algebras):
+    g = algebras[1]
+    rng = np.random.default_rng(7)
+    for k in range(200):
+        s = _without_s2(random_positive_definite(g, rng, spread=3.0 if k % 2 else 1.0))
+        moved = act(metric_moduli._center_pairing(s, g), s)
+        _, t1, _, _, t4, _, _ = split_blocks(moved, 1)
+        scale = max(1.0, np.abs(s).max())
+        assert max(np.abs(t1).max(), np.abs(t4).max()) <= 1e-12 * scale
+
+
+def test_pencil_choices_differ_by_center_slot_flips(algebras, rng):
+    g = algebras[1]
+    for _ in range(5):
+        s = _without_s2(random_positive_definite(g, rng))
+        pairings = metric_moduli._center_pairings(s)
+        assert len(pairings) == 3
+        reduced = [reduce_with_diagnostics(act(assemble(metric_moduli._zeros_params(
+            1, u1=u1, v1=v1), g), s), g) for u1, v1 in pairings]
+        for r in reduced:
+            assert r.residual <= 1e-9 * max(1.0, np.abs(s).max())
+        for r in reduced[1:]:
+            # the choices put different pencil eigenvalues in the (z, z) slot,
+            # and of the residual group only the center slot flips move z
+            assert abs(r.canonical.omega4 - reduced[0].canonical.omega4) > 1e-6
+            elem = metric_moduli._residual_group_matches(reduced[0], r, g, 1e-6)
+            assert elem is not None and abs(elem.matrix[5, 5]) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_residual_group_table_matches_assembled_elements(algebras, n):
+    g = algebras[n]
+    table = metric_moduli._residual_group(g)
+    walk = metric_moduli._walk_residual_group(g, itertools.product(range(4), repeat=n))
+    assert len(table[0]) == 4 ** n * 2 * (3 if n == 1 else 1)
+    cols = np.arange(g.dim)
+    for (label, perm, sign), (walked, elem) in itertools.zip_longest(zip(*table), walk):
+        assert label == walked
+        signed = np.zeros((g.dim, g.dim))
+        signed[perm, cols] = sign
+        assert np.abs(elem.matrix - signed).max() <= 1e-15
+
+
+def test_residual_group_table_is_cached_and_read_only(algebras):
+    g = algebras[2]
+    table = metric_moduli._residual_group(g)
+    assert metric_moduli._residual_group(build_thn(2)) is table
+    _, perms, signs = table
+    assert not perms.flags.writeable and not signs.flags.writeable
+    with pytest.raises(ValueError):
+        perms[0, 0] = 1
+
+
+def _brute_force_match(r1, r2, g, tol):
+    """The residual-group search by assembling and applying every candidate."""
+    scale = max(1.0, np.abs(r2.reduced).max())
+    for _, elem in metric_moduli._walk_residual_group(g, itertools.product(range(4), repeat=g.n)):
+        if np.abs(act(elem, r1.reduced) - r2.reduced).max() <= tol * scale:
+            return elem
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_residual_group_search_matches_brute_force(algebras, rng, n):
+    g = algebras[n]
+    pairs = []
+    for _ in range(3):
+        s = random_positive_definite(g, rng)
+        moved = act(random_automorphism(n, g, rng=rng), s)
+        pairs.append((reduce_with_diagnostics(s, g), reduce_with_diagnostics(moved, g)))
+    # repeated sigma: templates against a copy moved by the last group element,
+    # and against the template of the moduli_float workload's repeated pairs
+    s4 = np.eye(2 * n) + 0.1 * np.ones((2 * n, 2 * n))
+    for i in range(n):
+        s4[i, n + i] = s4[n + i, i] = 0.0
+    base = CanonicalMetric(sigma=(1.0,) * n, S4bar=s4, omega4=1.5).matrix()
+    other_s4 = np.eye(2 * n)
+    other_s4[0, 1] = other_s4[1, 0] = 0.4
+    other = CanonicalMetric(sigma=(1.0,) * n, S4bar=other_s4, omega4=1.5).matrix()
+    _, last = list(metric_moduli._walk_residual_group(g, [(3,) * n]))[-1]
+    for s1, s2 in ((base, act(last, base)), (np.diag(np.diag(other)), other)):
+        pairs.append((SimpleNamespace(reduced=s1), SimpleNamespace(reduced=s2)))
+    found = []
+    for r1, r2 in pairs:
+        fast = metric_moduli._residual_group_matches(r1, r2, g, 1e-6)
+        slow = _brute_force_match(r1, r2, g, 1e-6)
+        assert (fast is None) == (slow is None)
+        if fast is not None:
+            assert np.array_equal(fast.matrix, slow.matrix)
+        found.append(fast is not None)
+    assert found == [True] * 4 + [False]
+
+
+def test_n1_distinct_needs_both_templates_reached(algebras, monkeypatch):
+    g = algebras[1]
+    c1 = CanonicalMetric(sigma=(1.0,), S4bar=np.eye(2), omega4=1.0)
+    c2 = CanonicalMetric(sigma=(1.0,), S4bar=2.0 * np.eye(2), omega4=1.0)
+    reduce = metric_moduli.reduce_with_diagnostics
+
+    def off_template(s, g):
+        return dataclasses.replace(reduce(s, g), residual=1.0)
+
+    monkeypatch.setattr(metric_moduli, "reduce_with_diagnostics", off_template)
+    assert are_equivalent(c1.matrix(), c2.matrix(), g).verdict == "inconclusive"
