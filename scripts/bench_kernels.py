@@ -24,7 +24,11 @@ warm), for every n in ``NS``:
   (``reduce_n1``), where step 2 kills t1 and t4 together;
 * ``are_equivalent`` on an orbit pair (a random metric and its pullback
   by a random automorphism) and on a repeated-sigma pair (two templates
-  with sigma = (1, ..., 1) that the residual group does not align).
+  with sigma = (1, ..., 1) that the residual group does not align);
+* float ``LieAlgebra.bracket`` of two random vectors;
+* ``normalize_complex_structure`` of the automorphism conjugate of a float
+  family member, which takes the adapted route;
+* float ``second_bianchi_defect`` of a random positive definite metric.
 
 The kernels of this checkout's ``src/`` are always timed.  With
 ``--parent DIR``, where DIR holds another revision of the repository (for
@@ -52,7 +56,8 @@ NS = (1, 2, 3, 4, 5)
 KERNELS = ("integrability_report_exact", "integrability_report_float", "bracket_defect_float",
            "hermitian_metric_space", "hermitian_defect_exact", "inv_exact", "det_exact",
            "riemann_exact", "certify_pseudo_kahler", "random_ad_invariant", "nullspace_exact",
-           "ldl_inertia_exact", "reduce_n1", "are_equivalent_orbit", "are_equivalent_repeated")
+           "ldl_inertia_exact", "reduce_n1", "are_equivalent_orbit", "are_equivalent_repeated",
+           "bracket_float", "normalize_adapted_float", "second_bianchi_float")
 
 
 def _inputs(n):
@@ -100,8 +105,9 @@ def _worker():
     from heiscot._exact import det, inv
     from heiscot.adinvariant import random_ad_invariant
     from heiscot.automorphism import bracket_defect
-    from heiscot.complex_structures import hermitian_defect, hermitian_metric_space, integrability_report
-    from heiscot.curvature import levi_civita, riemann, signature
+    from heiscot.complex_structures import (hermitian_defect, hermitian_metric_space, integrability_report,
+                                            normalize_complex_structure)
+    from heiscot.curvature import levi_civita, riemann, second_bianchi_defect, signature
     from heiscot.forms_kahler import certify_pseudo_kahler
     from heiscot.lie_core import derivation_algebra
     from heiscot.metric_moduli import are_equivalent, reduce_with_diagnostics
@@ -135,6 +141,12 @@ def _worker():
             out["reduce_n1"][n] = best(lambda: reduce_with_diagnostics(orbit[0], g))
         out["are_equivalent_orbit"][n] = best(lambda: are_equivalent(*orbit, g))
         out["are_equivalent_repeated"][n] = best(lambda: are_equivalent(*repeated, g))
+        x, y = np.random.default_rng(200 + n).standard_normal((2, g.dim))
+        out["bracket_float"][n] = best(lambda: g.bracket(x, y))
+        out["normalize_adapted_float"][n] = best(lambda: normalize_complex_structure(j_float, g))
+        gamma_f = levi_civita(g, orbit[0])
+        riem_f = riemann(g, gamma_f)
+        out["second_bianchi_float"][n] = best(lambda: second_bianchi_defect(g, gamma_f, riem_f))
     json.dump(out, sys.stdout)
 
 

@@ -120,19 +120,30 @@ def bracket_defect(m: np.ndarray, g: LieAlgebra):
             diff = sm @ _exact.ad(g, {i: 1}) - _exact.ad(g, cols.get(i, {}), sm.den) @ sm
             worst = max(worst, diff.maxabs())
         return worst
-    iu, ju = _upper_pairs(g.dim)
-    a, b = np.array(sorted({(i, j) for i, j, _, _ in g.constants}), dtype=int).reshape(-1, 2).T
-    c = g.structure_tensor
+    iu, ju, a, b, c_upper, c_pairs = _pair_tables(g)
     mt = m.T
     mi, mj = mt[iu], mt[ju]
     minors = mi[:, a] * mj[:, b] - mi[:, b] * mj[:, a]
-    return _exact.maxabs(c[iu, ju] @ mt - minors @ c[a, b])
+    return _exact.maxabs(c_upper @ mt - minors @ c_pairs)
 
 
 @cache
-def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the pairs i < j of a d x d matrix."""
-    return np.triu_indices(d, 1)
+def _pair_tables(g: LieAlgebra) -> tuple:
+    """Index tables of the float bracket kernels, built once per algebra.
+
+    ``(iu, ju, a, b, c_upper, c_pairs)``: (iu, ju) are the pairs i < j of
+    the basis, (a, b) the sorted pairs with a nonzero bracket, and
+    c_upper = C[iu, ju], c_pairs = C[a, b] the matching rows of the
+    structure tensor C.  The arrays are read-only, because the cache
+    shares them.
+    """
+    iu, ju = np.triu_indices(g.dim, 1)
+    a, b = np.array(sorted({(i, j) for i, j, _, _ in g.constants}), dtype=int).reshape(-1, 2).T
+    c = g.structure_tensor
+    out = (iu, ju, a, b, c[iu, ju], c[a, b])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def is_automorphism(m: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> bool:

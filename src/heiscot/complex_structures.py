@@ -55,11 +55,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import lstsq
 
 from . import _exact
 from ._exact import (SparseQ, ad, congruence_defect, feye, field, field_of, fzeros, maxabs,
                      negligible, nullspace_sparse, to_float)
-from .automorphism import AutParams, Automorphism, assemble, is_automorphism
+from .automorphism import AutParams, Automorphism, _pair_tables, assemble, is_automorphism
 from .lie_core import LieAlgebra, standard_symplectic
 
 __all__ = [
@@ -171,7 +172,8 @@ def nijenhuis_defect(j: np.ndarray, g: LieAlgebra):
         a = np.tensordot(j, c, axes=(0, 0))
         w = np.tensordot(a, j, axes=(1, 0)).transpose(0, 2, 1)
         nij = c + (a - a.transpose(1, 0, 2)) @ j.T - w
-        return maxabs(nij[np.triu_indices(g.dim, 1)])
+        iu, ju = _pair_tables(g)[:2]
+        return maxabs(nij[iu, ju])
     jq = SparseQ.from_dense(j)
     rows, cols, den = jq.rows, jq.T.rows, jq.den
     dc, table = g.int_constants
@@ -512,6 +514,15 @@ def _invariant_complement(jm: np.ndarray, g: LieAlgebra, tol: float):
     complement may need z*-components, so it is produced instead by
     averaging the orthogonal projection onto U = ideal + J(ideal) into a
     J-commuting one and taking the image of I - P.
+
+    The n >= 2 system is built whole: with Phi flattened row by row,
+    vec(Phi Bmap) = (I_m kron Bmap^T) vec(Phi), vec(M4 Phi) =
+    (M4 kron I_2n) vec(Phi) and b^T Phi = (b^T kron I_2n) vec(Phi).  The
+    Sylvester part is singular (Bmap and M4 share the eigenvalues +-i), so
+    the solve must be rank revealing; LAPACK's gelsy (complete orthogonal
+    factorization by pivoted QR) returns the same minimum-norm solution as
+    the SVD driver gelsd of ``np.linalg.lstsq`` at a fraction of the cost,
+    provided it cuts the rank at the same relative level, eps * max(shape).
     """
     n = g.n
     d = g.dim
@@ -546,25 +557,11 @@ def _invariant_complement(jm: np.ndarray, g: LieAlgebra, tol: float):
     m3 = jm[m:, :m]
     m4 = jm[m:, m:]
     c = m3[:, : 2 * n]
-    # unknown graph Phi (m x 2n): Phi Bmap - M4 Phi = C and b^T Phi = svec
-    nv = m * 2 * n
-    rows = []
-    rhs = []
-    for r in range(m):
-        for cc in range(2 * n):
-            row = np.zeros(nv)
-            row[r * 2 * n : (r + 1) * 2 * n] += bmap[:, cc]
-            row[cc::2 * n] -= m4[r, :]
-            rows.append(row)
-            rhs.append(c[r, cc])
-    for cc in range(2 * n):
-        row = np.zeros(nv)
-        row[cc::2 * n] = b
-        rows.append(row)
-        rhs.append(svec[cc])
-    mat = np.array(rows)
-    vec = np.array(rhs)
-    sol, _, _, _ = np.linalg.lstsq(mat, vec, rcond=None)
+    # unknown graph Phi (m x 2n), row-major: Phi Bmap - M4 Phi = C and b^T Phi = svec
+    mat = _complement_system(bmap, m4, b)
+    vec = np.concatenate([c.ravel(), svec])
+    # numpy's lstsq cutoff (rcond=None); gelsy's default eps keeps noise directions
+    sol = lstsq(mat, vec, cond=np.finfo(float).eps * max(mat.shape), lapack_driver="gelsy")[0]
     resid = np.abs(mat @ sol - vec).max()
     if resid > 1e-7 * max(1.0, np.abs(vec).max()):
         raise NotInFamily(f"invariant-complement system is inconsistent ({resid:.2e})")
@@ -575,14 +572,22 @@ def _invariant_complement(jm: np.ndarray, g: LieAlgebra, tol: float):
     return v
 
 
+def _complement_system(bmap: np.ndarray, m4: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix of Phi -> (Phi Bmap - M4 Phi, b^T Phi) on Phi flattened row by row."""
+    i2n = np.eye(len(bmap))
+    return np.vstack([np.kron(np.eye(len(m4)), bmap.T) - np.kron(m4, i2n), np.kron(b, i2n)])
+
+
 def _unit_vectors(jm: np.ndarray, v: np.ndarray, g: LieAlgebra):
     """Complex Gram-Schmidt on V against h(u, w) = om(Ju, w) + i om(u, w).
 
-    om is the z-coefficient of the bracket.  Definiteness of h is exactly
+    om is the z-coefficient of the bracket, the bilinear form
+    om(x, y) = x^T W y with W = C[:, :, z] read off the structure tensor,
+    so h(x, y) = (Jx)^T W y + i x^T W y and the Gram matrix of Re h on V
+    is the single product (JV)^T W V.  Definiteness of h is exactly
     membership in the orbit of J0; an indefinite h aborts with NotInFamily.
     """
     n = g.n
-    d = g.dim
     if n == 1:
         cands = [v[:, 0], v[:, 1], v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]]
         cands = [c / np.linalg.norm(c) for c in cands]
@@ -592,13 +597,8 @@ def _unit_vectors(jm: np.ndarray, v: np.ndarray, g: LieAlgebra):
             raise NotInFamily("[u, Ju] vanishes on the whole complement")
         return [u1 / np.sqrt(zn)]
 
-    zidx = d - 1
-
-    def oml(x, y):
-        return g.bracket(x, y)[zidx]
-
-    cols = [v[:, k] for k in range(2 * n)]
-    hre = np.array([[oml(jm @ x, y) for y in cols] for x in cols])
+    w = g.structure_tensor[:, :, g.dim - 1]
+    hre = (jm @ v).T @ w @ v
     hre = 0.5 * (hre + hre.T)
     eigs = np.linalg.eigvalsh(hre)
     if eigs.min() <= 0 <= eigs.max():
@@ -608,11 +608,12 @@ def _unit_vectors(jm: np.ndarray, v: np.ndarray, g: LieAlgebra):
         )
 
     def h(x, y):
-        return oml(jm @ x, y) + 1j * oml(x, y)
+        wy = w @ y
+        return (jm @ x) @ wy + 1j * (x @ wy)
 
     units = []
-    for cand in cols:
-        u = cand.copy()
+    for k in range(2 * n):
+        u = v[:, k].copy()
         for p in units:
             coef = h(p, u) / h(p, p)
             u = u - (coef.real * p + coef.imag * (jm @ p))

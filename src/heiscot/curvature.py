@@ -23,6 +23,7 @@ riem[i, j, k, :] those of R(b_i, b_j) b_k.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -279,30 +280,26 @@ def second_bianchi_defect(g: LieAlgebra, gamma: np.ndarray, riem: np.ndarray):
 
     (nabla_i R)(j, k) is the operator
     [nabla_i, R(j,k)] - R(nabla_i b_j, k) - R(j, nabla_i b_k), with R
-    extended bilinearly in its two lower slots.
+    extended bilinearly in its two lower slots.  For each i the whole
+    d^4 block over (j, k) is one batched commutator and two tensordots
+    with gamma[i]; each block is added into the cyclic sums of the sorted
+    triples that contain i, so the d^5 tensor of all blocks is never formed.
     """
     d = g.dim
-    ops = [gamma[i].T.copy() for i in range(d)]
-    rop = [[riem[i, j].T.copy() for j in range(d)] for i in range(d)]
-
-    def cov(i, j, k):
-        m = ops[i] @ rop[j][k] - rop[j][k] @ ops[i]
-        for a in range(d):
-            va = gamma[i, j, a]
-            if va:
-                m = m - va * rop[a][k]
-            vb = gamma[i, k, a]
-            if vb:
-                m = m - vb * rop[j][a]
-        return m
-
-    worst = 0.0
+    # rop[j, k] acts on coordinate vectors: column l = R(b_j, b_k) b_l
+    rop = riem.transpose(0, 1, 3, 2)
+    tri = np.array(list(combinations(range(d), 3)), dtype=int).reshape(-1, 3)
+    acc = np.zeros((len(tri), d, d), dtype=riem.dtype)
     for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                m = cov(i, j, k) + cov(j, k, i) + cov(k, i, j)
-                worst = max(worst, maxabs(m))
-    return worst
+        op = gamma[i].T
+        cov = (op @ rop - rop @ op
+               - np.tensordot(gamma[i], rop, axes=(1, 0))
+               - np.tensordot(rop, gamma[i], axes=(1, 1)).transpose(0, 3, 1, 2))
+        # S(a, b, c) = cov_a[b, c] + cov_b[c, a] + cov_c[a, b] for a < b < c
+        for pos, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+            sel = tri[:, pos] == i
+            acc[sel] += cov[tri[sel, p], tri[sel, q]]
+    return maxabs(acc)
 
 
 def is_flat(riem: np.ndarray, tol: float = 1e-10) -> bool:

@@ -99,9 +99,11 @@ class LieAlgebra:
     def structure_tensor(self) -> np.ndarray:
         """Dense float tensor C with C[i, j, k] = c_ijk.
 
-        The float kernels (Nijenhuis routes, bracket preservation) contract
-        it with matrices instead of bracketing vectors one pair at a time.
-        Read-only, because the algebra and its caches are shared.
+        The float kernels (``bracket``, ``ad_matrix``, the Nijenhuis routes,
+        bracket preservation, the h-form of the complex normalization)
+        contract it with vectors and matrices instead of walking the
+        constants in Python.  Read-only, because the algebra and its caches
+        are shared.
         """
         c = np.zeros((self.dim, self.dim, self.dim))
         for (i, j, k, v) in self.constants:
@@ -132,7 +134,11 @@ class LieAlgebra:
         return out
 
     def bracket(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Bracket of two coordinate vectors; exact iff both inputs are object arrays."""
+        """Bracket of two coordinate vectors; exact iff both inputs are object arrays.
+
+        Float (and mixed or int) input is ad(a) b, with ad(a) contracted
+        from :attr:`structure_tensor` as in :meth:`ad_matrix`.
+        """
         a = np.asarray(a)
         b = np.asarray(b)
         if a.shape != (self.dim,) or b.shape != (self.dim,):
@@ -140,28 +146,27 @@ class LieAlgebra:
         if _exact.is_exact(a) and _exact.is_exact(b):
             y = _exact.SparseQ.from_dense(b[:, None])
             return (self._ad_sparse(a) @ y).dense((self.dim, 1)).ravel()
-        out = np.zeros(self.dim)
-        for (i, j), terms in self._lookup.items():
-            if i < j:
-                coef = a[i] * b[j] - a[j] * b[i]
-                if coef != 0:
-                    for (k, v) in terms:
-                        out[k] += coef * float(v)
-        return out
+        return self._ad_float(a) @ np.asarray(b, dtype=float)
 
     def ad_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Matrix of ad(a): column j is [a, b_j]."""
+        """Matrix of ad(a): column j is [a, b_j].
+
+        Exact input runs on :class:`SparseQ`; any other input contracts a
+        with the structure tensor, ad(a)[k, j] = sum_i a_i C[i, j, k], in
+        one float64 product.
+        """
         a = np.asarray(a)
         if a.shape != (self.dim,):
             raise ValueError("element dimension mismatch")
         if _exact.is_exact(a):
             return self._ad_sparse(a).dense((self.dim, self.dim))
-        out = np.zeros((self.dim, self.dim))
-        for (i, j), terms in self._lookup.items():
-            if a[i] != 0:
-                for (k, v) in terms:
-                    out[k, j] += a[i] * float(v)
-        return out
+        return self._ad_float(a)
+
+    def _ad_float(self, a: np.ndarray) -> np.ndarray:
+        """ad(a) as a float64 matrix, (a @ C.reshape(d, d*d)).reshape(d, d).T."""
+        d = self.dim
+        c = self.structure_tensor.reshape(d, d * d)
+        return (np.asarray(a, dtype=float) @ c).reshape(d, d).T
 
     def _ad_sparse(self, a: np.ndarray) -> "_exact.SparseQ":
         """ad(a) of an exact coordinate vector as a sparse integer matrix."""
