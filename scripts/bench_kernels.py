@@ -25,6 +25,8 @@ warm), for every n in ``NS``:
 * ``are_equivalent`` on an orbit pair (a random metric and its pullback
   by a random automorphism) and on a repeated-sigma pair (two templates
   with sigma = (1, ..., 1) that the residual group does not align);
+* ``residual_group_table``, the uncached build of the residual finite
+  group's table (``metric_moduli._residual_group.__wrapped__``);
 * float ``LieAlgebra.bracket`` of two random vectors;
 * ``normalize_complex_structure`` of the automorphism conjugate of a float
   family member, which takes the adapted route;
@@ -57,7 +59,7 @@ KERNELS = ("integrability_report_exact", "integrability_report_float", "bracket_
            "hermitian_metric_space", "hermitian_defect_exact", "inv_exact", "det_exact",
            "riemann_exact", "certify_pseudo_kahler", "random_ad_invariant", "nullspace_exact",
            "ldl_inertia_exact", "reduce_n1", "are_equivalent_orbit", "are_equivalent_repeated",
-           "bracket_float", "normalize_adapted_float", "second_bianchi_float")
+           "residual_group_table", "bracket_float", "normalize_adapted_float", "second_bianchi_float")
 
 
 def _inputs(n):
@@ -110,7 +112,7 @@ def _worker():
     from heiscot.curvature import levi_civita, riemann, second_bianchi_defect, signature
     from heiscot.forms_kahler import certify_pseudo_kahler
     from heiscot.lie_core import derivation_algebra
-    from heiscot.metric_moduli import are_equivalent, reduce_with_diagnostics
+    from heiscot.metric_moduli import _residual_group, are_equivalent, reduce_with_diagnostics
 
     def best(fn):
         times = []
@@ -141,6 +143,7 @@ def _worker():
             out["reduce_n1"][n] = best(lambda: reduce_with_diagnostics(orbit[0], g))
         out["are_equivalent_orbit"][n] = best(lambda: are_equivalent(*orbit, g))
         out["are_equivalent_repeated"][n] = best(lambda: are_equivalent(*repeated, g))
+        out["residual_group_table"][n] = best(lambda: _residual_group.__wrapped__(g))
         x, y = np.random.default_rng(200 + n).standard_normal((2, g.dim))
         out["bracket_float"][n] = best(lambda: g.bracket(x, y))
         out["normalize_adapted_float"][n] = best(lambda: normalize_complex_structure(j_float, g))

@@ -67,6 +67,7 @@ __all__ = [
     "SparseQ",
     "ad",
     "congruence_defect",
+    "signed_permutation",
 ]
 
 
@@ -195,6 +196,22 @@ def congruence_defect(f: np.ndarray, s: np.ndarray, p: np.ndarray):
         fq = SparseQ.from_dense(f)
         return (fq.T @ SparseQ.from_dense(s) @ fq - SparseQ.from_dense(p)).maxabs()
     return maxabs(f.T @ s @ f - p)
+
+
+def signed_permutation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) with m[:, j] = sign[j] e_{perm[j]}, as int arrays.
+
+    Raises ValueError unless m is exactly a signed permutation matrix:
+    square, one nonzero entry per column, equal to +1 or -1, and one per row.
+    """
+    m = np.asarray(m)
+    d = len(m)
+    cols, perm = np.nonzero(m.T)
+    sign = m[perm, cols]
+    if m.shape != (d, d) or not np.array_equal(cols, np.arange(d)) \
+            or not np.array_equal(np.sort(perm), np.arange(d)) or not all(abs(x) == 1 for x in sign):
+        raise ValueError("matrix is not a signed permutation")
+    return perm, sign.astype(int)
 
 
 def _int_rows(a: np.ndarray) -> tuple[list[list[int]], list[int]]:

@@ -267,11 +267,8 @@ def _equiv_checks(n: int, seed: int, tol: float) -> list[Check]:
         other_s4[0, 1] = other_s4[1, 0] = 0.4
         other = CanonicalMetric(sigma=rep, S4bar=other_s4, omega4=1.0)
         res = are_equivalent(base.matrix(), other.matrix(), g)
-        out.append(Check(
-            name="repeated_sigma_is_inconclusive",
-            status="pass" if res.verdict == "inconclusive" else "fail",
-            detail=f"verdict {res.verdict} (a wrong 'distinct' would be an error)",
-        ))
+        out.append(_check("repeated_sigma_is_inconclusive", res.verdict == "inconclusive",
+                          f"verdict {res.verdict} (a wrong 'distinct' would be an error)"))
     return out
 
 
@@ -621,9 +618,8 @@ def run(argv: list[str] | None = None) -> int:
             return 2
     if args.command == "all":
         ns = [args.n] if args.n is not None else [1, 2, 3]
-        verbs = ["algebra", "aut", "reduce", "equiv", "adinv", "complex", "kahler", "curvature"]
         reports = [_run_verb(v, n, args.seed, args.tol, None)
-                   for n in ns for v in verbs]
+                   for n in ns for v in _VERBS]
     else:
         n = args.n if args.n is not None else 1
         reports = [_run_verb(args.command, n, args.seed, args.tol, metric)]

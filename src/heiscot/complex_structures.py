@@ -59,7 +59,7 @@ from scipy.linalg import lstsq
 
 from . import _exact
 from ._exact import (SparseQ, ad, congruence_defect, feye, field, field_of, fzeros, maxabs,
-                     negligible, nullspace_sparse, to_float)
+                     negligible, nullspace_sparse, signed_permutation, to_float)
 from .automorphism import AutParams, Automorphism, _pair_tables, assemble, is_automorphism
 from .lie_core import LieAlgebra, standard_symplectic
 
@@ -118,13 +118,6 @@ def standard_complex_structure(n: int, exact: bool = False) -> np.ndarray:
     out[2 * n, d - 1] = one
     out[d - 1, 2 * n] = -one
     return out
-
-
-def _j0_permutation(n: int) -> tuple[list[int], list[int]]:
-    """J0 as a signed permutation: J0 b_c = sgn[c] b_img[c], sgn[c] = +-1 as ints."""
-    j0 = standard_complex_structure(n)
-    img = [int(np.flatnonzero(col)[0]) for col in j0.T]
-    return img, [int(j0[r, c]) for c, r in enumerate(img)]
 
 
 def almost_complex_defect(j: np.ndarray):
@@ -628,7 +621,8 @@ def _unit_vectors(jm: np.ndarray, v: np.ndarray, g: LieAlgebra):
     return units
 
 
-def _normalize_adapted_once(jm: np.ndarray, g: LieAlgebra, tol: float):
+def _normalize_adapted(jm: np.ndarray, g: LieAlgebra, tol: float) -> NormalizedComplexStructure:
+    jm = to_float(jm)
     n = g.n
     d = g.dim
     m = 2 * n + 1
@@ -666,30 +660,6 @@ def _normalize_adapted_once(jm: np.ndarray, g: LieAlgebra, tol: float):
         raise NotInFamily("assembled basis degenerates")
     j0 = standard_complex_structure(n)
     resid = float(np.abs(np.linalg.solve(fm, jm @ fm) - j0).max())
-    return fm, resid
-
-
-def _normalize_adapted(jm: np.ndarray, g: LieAlgebra, tol: float) -> NormalizedComplexStructure:
-    jm = to_float(jm)
-    fm, resid = _normalize_adapted_once(jm, g, tol)
-    target = tol * max(1.0, np.abs(jm).max())
-    j0 = standard_complex_structure(g.n)
-    for _ in range(3):
-        if resid <= target:
-            break
-        # the residual conjugate sits near J0, where the construction is
-        # well conditioned; compose and keep the better of the two
-        jc = np.linalg.solve(fm, jm @ fm)
-        try:
-            f2, _ = _normalize_adapted_once(jc, g, tol)
-        except NotInFamily:
-            break
-        cand = fm @ f2
-        rc = float(np.abs(np.linalg.solve(cand, jm @ cand) - j0).max())
-        if rc < resid:
-            fm, resid = cand, rc
-        else:
-            break
     return NormalizedComplexStructure(matrix=fm, epsilon=1, residual=resid, route="adapted")
 
 
@@ -799,7 +769,7 @@ def hermitian_metric_space(n: int) -> HermitianMetricSpace:
     if n < 1:
         raise ValueError("n must be >= 1")
     d = 4 * n + 2
-    img, sgn = _j0_permutation(n)
+    img, sgn = signed_permutation(standard_complex_structure(n))
     pre = {r: c for c, r in enumerate(img)}
     dirs = _template_direction_vars(n)
     eqs: dict = {}

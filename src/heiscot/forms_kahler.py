@@ -45,7 +45,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _exact
-from ._exact import field, field_of, fmat, fzeros, maxabs, negligible, nullspace_sparse
+from ._exact import (field, field_of, fmat, fzeros, maxabs, negligible, nullspace_sparse,
+                     signed_permutation)
 from .curvature import (
     is_flat,
     levi_civita,
@@ -54,7 +55,7 @@ from .curvature import (
     riemann,
     signature,
 )
-from .complex_structures import _j0_permutation, hermitian_defect, standard_complex_structure
+from .complex_structures import hermitian_defect, standard_complex_structure
 from .lie_core import LieAlgebra, build_thn
 
 __all__ = [
@@ -192,7 +193,7 @@ def closed_invariant_space(n: int) -> list[np.ndarray]:
         row = {k: v for k, v in row.items() if v != 0}
         if row:
             rows.append(row)
-    img, sgn = _j0_permutation(n)
+    img, sgn = signed_permutation(standard_complex_structure(n))
     for p, q in pairs:
         row = {}
         iv, s = omcoef(img[p], img[q])
@@ -421,7 +422,7 @@ def pseudo_kahler_metric(omega: np.ndarray, n: int) -> np.ndarray:
     if not is_nondegenerate(omega):
         raise DegenerateOmega("the 2-form is degenerate")
     # (J0^T Omega)[c, q] = sgn_c Omega[img_c, q], J0 being a signed permutation
-    img, sgn = _j0_permutation(n)
+    img, sgn = signed_permutation(standard_complex_structure(n))
     s = np.array(sgn)[:, None] * omega[img]
     assert negligible(maxabs(s - s.T), 1e-10, s)
     j0 = standard_complex_structure(n, exact=_exact.is_exact(omega))

@@ -34,13 +34,13 @@ partially reduced data in every case.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 from scipy.linalg import eigh, schur
 
+from ._exact import fmat, signed_permutation, to_float
 from .lie_core import LieAlgebra, standard_symplectic
 from .automorphism import (
     Automorphism,
@@ -49,6 +49,7 @@ from .automorphism import (
     is_automorphism,
     symplectic_rotation,
 )
+from .complex_structures import sign_reversing_automorphism
 
 __all__ = [
     "NonPositiveDefinite",
@@ -405,44 +406,56 @@ class EquivalenceResult:
         return self.verdict == "equivalent"
 
 
-def _center_slot_flips(g: LieAlgebra) -> list:
-    """Order-2 automorphisms of T*h(3) swapping a plane direction with z*.
-
-    phi_e: e <-> z*, e* <-> -z, f* -> -f* (and phi_f with the roles of e
-    and f).  For n = 1 these preserve the bracket table because z* pairs
-    with a single plane; any second plane obstructs them.  On a reduced
-    diagonal metric they swap the (e*, e*) resp. (f*, f*) entry with the
-    (z, z) entry, so together with the quarter turns they realize the
-    full permutation group of the three dual diagonal values.
-    """
-    if g.n != 1:
-        return []
-    phi_e = np.zeros((6, 6))
-    phi_e[2, 0] = 1.0; phi_e[1, 1] = 1.0; phi_e[0, 2] = 1.0
-    phi_e[5, 3] = -1.0; phi_e[4, 4] = -1.0; phi_e[3, 5] = -1.0
-    phi_f = np.zeros((6, 6))
-    phi_f[0, 0] = 1.0; phi_f[2, 1] = 1.0; phi_f[1, 2] = 1.0
-    phi_f[3, 3] = -1.0; phi_f[5, 4] = -1.0; phi_f[4, 5] = -1.0
-    return [Automorphism(matrix=phi_e, n=1), Automorphism(matrix=phi_f, n=1)]
+def _signed_matrix(perm, sign) -> np.ndarray:
+    """The signed permutation matrix with column j equal to sign[j] e_{perm[j]}."""
+    out = np.zeros((len(perm), len(perm)))
+    out[perm, np.arange(len(perm))] = sign
+    return out
 
 
-def _walk_residual_group(g: LieAlgebra, rotations):
-    """(label, element) of the residual finite group, quarter turns ks from rotations.
+def _generators(g: LieAlgebra) -> list:
+    """Integer generators of the residual finite group, each an exactly certified automorphism.
 
-    Each element is rot(ks) (@ reflection) (@ center slot flip), built from
-    assembled, bracket-checked factors; label = (ks, with_refl, flip index).
+    In order:
+
+    * the quarter turn of each plane i, e_i -> -f_i, f_i -> e_i with the
+      same turn on (e*_i, f*_i): :func:`symplectic_rotation` at angle pi/2
+      in that plane only;
+    * the reflection Fbar1 = diag(E, -E), antisymplectic (conformal factor
+      -1), which flips every f_i, e*_i and z:
+      :func:`sign_reversing_automorphism`;
+    * for n = 1 only, the center slot flips phi_e: e <-> z*, e* <-> -z,
+      f* -> -f*, and phi_f with the roles of e and f.  They preserve the
+      bracket table because z* pairs with a single plane; any second plane
+      obstructs them.  On a reduced diagonal metric they swap the (e*, e*)
+      resp. (f*, f*) entry with the (z, z) entry, so together with the
+      quarter turns they realize the full permutation group of the three
+      dual diagonal values.
+
+    Each matrix is rounded to ints (within 1e-12) and passes the exact
+    bracket test, so every product of generators is an exact automorphism.
     """
     n = g.n
-    refl_fb1 = np.eye(2 * n)
-    refl_fb1[n:, n:] *= -1.0
-    reflection = assemble(_zeros_params(n, fb1=refl_fb1), g)
-    extras = [None] + _center_slot_flips(g)
-    for ks in rotations:
-        rot = symplectic_rotation([k * np.pi / 2 for k in ks], g)
-        for with_refl in (False, True):
-            base = rot @ reflection if with_refl else rot
-            for flip, post in enumerate(extras):
-                yield (ks, with_refl, flip), (base @ post if post is not None else base)
+    mats = [symplectic_rotation(np.where(np.arange(n) == i, np.pi / 2, 0.0), g).matrix
+            for i in range(n)]
+    mats.append(sign_reversing_automorphism(n, g).matrix)
+    if n == 1:
+        mats += [_signed_matrix(perm, (1, 1, 1, -1, -1, -1))
+                 for perm in ((2, 1, 0, 5, 4, 3), (0, 2, 1, 3, 5, 4))]
+    out = []
+    for m in mats:
+        m = to_float(m)
+        x = np.rint(m).astype(int)
+        if np.abs(m - x).max() > 1e-12 or not is_automorphism(fmat(x), g):
+            raise ValueError("residual group generator is not an integer automorphism")
+        out.append(x)
+    return out
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """(perm, sign) of the product A @ B of signed permutations; a and b may be stacks."""
+    (pa, sa), (pb, sb) = a, b
+    return pa[..., pb], sb * sa[..., pb]
 
 
 # candidates per vectorized congruence in _residual_group_matches: bounds its temporaries
@@ -454,27 +467,30 @@ def _residual_group(g: LieAlgebra) -> tuple:
     """The residual finite group as signed permutations, in search order; built once per algebra.
 
     Every element maps each basis vector to plus or minus another, so it is
-    stored as row k of (labels, perms, signs), element[:, j] =
-    signs[k, j] e_{perms[k, j]}.  The arrays are read-only, because the
-    table is shared.
+    stored as row k of (perms, signs), element[:, j] = signs[k, j]
+    e_{perms[k, j]}.  Element k is rot(ks) (@ reflection) (@ center slot
+    flip) of the :func:`_generators`, with rot(ks) the product of the k_i-th
+    powers of the quarter turns: ks runs over product(range(4), repeat=n),
+    then the reflection is off or on, then the flip is none, phi_e or phi_f
+    (n = 1 only).  The products are index operations on the generators'
+    (perm, sign).  The arrays are read-only, because the table is shared.
     """
-    cols = np.arange(g.dim)
-    labels, perms, signs = [], [], []
-    for label, elem in _walk_residual_group(g, itertools.product(range(4), repeat=g.n)):
-        m = elem.matrix
-        perm = np.abs(m).argmax(axis=0)
-        sign = np.sign(m[perm, cols])
-        signed = np.zeros_like(m)
-        signed[perm, cols] = sign
-        if not np.array_equal(np.sort(perm), cols) or np.abs(m - signed).max() > 1e-12:
-            raise ValueError(f"residual group element {label} is not a signed permutation")
-        labels.append(label)
-        perms.append(perm)
-        signs.append(sign)
-    perms, signs = np.array(perms), np.array(signs)
+    n = g.n
+    gens = [signed_permutation(x) for x in _generators(g)]
+    ident = (np.arange(g.dim), np.ones(g.dim, dtype=int))
+    layers = []
+    for turn in gens[:n]:
+        layers.append([ident])
+        for _ in range(3):
+            layers[-1].append(_compose(layers[-1][-1], turn))
+    layers += [[ident, gens[n]], [ident, *gens[n + 1:]]]
+    perms, signs = ident[0][None], ident[1][None]
+    for layer in layers:
+        lp, ls = (np.array(x) for x in zip(*layer))
+        perms, signs = (x.reshape(-1, g.dim) for x in _compose((perms, signs), (lp, ls)))
     perms.flags.writeable = False
     signs.flags.writeable = False
-    return tuple(labels), perms, signs
+    return perms, signs
 
 
 def _residual_group_matches(r1: ReductionResult, r2: ReductionResult, g: LieAlgebra,
@@ -491,19 +507,18 @@ def _residual_group_matches(r1: ReductionResult, r2: ReductionResult, g: LieAlge
     by :func:`_residual_group`, so a candidate W moves R to
     W^T R W = R[perm][:, perm] * outer(sign, sign), one indexed congruence;
     it is evaluated for ``_CHUNK`` candidates at a time, in search order.
-    Only the first match is assembled again, from its label, so the
-    returned element is the one the assembled enumeration would return.
+    The first match is returned as its signed permutation matrix W.
     """
-    labels, perms, signs = _residual_group(g)
+    perms, signs = _residual_group(g)
     a, b = r1.reduced, r2.reduced
     bound = tol * max(1.0, np.abs(b).max())
-    for start in range(0, len(labels), _CHUNK):
+    for start in range(0, len(perms), _CHUNK):
         p, s = perms[start:start + _CHUNK], signs[start:start + _CHUNK]
         moved = a[p[:, :, None], p[:, None, :]] * (s[:, :, None] * s[:, None, :])
         hits = np.flatnonzero(np.abs(moved - b).max(axis=(1, 2)) <= bound)
         if hits.size:
-            label = labels[start + hits[0]]
-            return next(elem for lab, elem in _walk_residual_group(g, [label[0]]) if lab == label)
+            k = start + hits[0]
+            return Automorphism(matrix=_signed_matrix(perms[k], signs[k]), n=g.n)
     return None
 
 

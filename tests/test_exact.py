@@ -17,6 +17,7 @@ from heiscot._exact import (
     nullspace_sparse,
     rank_sparse,
     rowspace_sparse,
+    signed_permutation,
     solve,
     to_float,
 )
@@ -141,3 +142,14 @@ def test_ldl_inertia_matches_eigenvalue_signs(seed):
     # a positive rational rescaling keeps the inertia, a negative one swaps p and q
     assert ldl_inertia(Fraction(3, 7) * fmat(s.tolist())) == expected
     assert ldl_inertia(Fraction(-5, 2) * fmat(s.tolist())) == (q, p, z)
+
+
+def test_signed_permutation_reads_exact_and_float_matrices_and_rejects_the_rest():
+    m = np.array([[0, -1, 0], [0, 0, 1], [1, 0, 0]])
+    for a in (m, m.astype(float), fmat(m.tolist())):
+        perm, sign = signed_permutation(a)
+        assert perm.tolist() == [2, 0, 1] and sign.tolist() == [1, -1, 1]
+        assert sign.dtype.kind == "i"
+    for bad in (2 * m, m + 1e-15, m[:2], m[[0, 0, 2]], np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]])):
+        with pytest.raises(ValueError):
+            signed_permutation(bad)

@@ -2,13 +2,16 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from heiscot import metric_moduli
-from heiscot.automorphism import assemble, is_automorphism, random_automorphism
+from heiscot._exact import fmat
+from heiscot.automorphism import (assemble, bracket_defect, is_automorphism, random_automorphism,
+                                  symplectic_rotation)
 from heiscot.cli import run
 from heiscot.lie_core import build_thn
 from heiscot.metric_moduli import (
@@ -211,34 +214,81 @@ def test_pencil_choices_differ_by_center_slot_flips(algebras, rng):
             assert elem is not None and abs(elem.matrix[5, 5]) < 1e-12
 
 
+def _assembled_group(g):
+    """The residual finite group in search order, assembled as float automorphisms.
+
+    rot(ks) (@ reflection) (@ center slot flip), ks over product(range(4),
+    repeat=n): the enumeration the generated table must reproduce.
+    """
+    n = g.n
+    reflection = assemble(metric_moduli._zeros_params(n, fb1=np.diag([1.0] * n + [-1.0] * n)), g)
+    flips = [np.eye(g.dim)]
+    if n == 1:
+        # phi_e: e <-> z*, e* <-> -z, f* -> -f*; phi_f the same with f for e
+        phi_e = np.zeros((6, 6))
+        phi_e[2, 0] = phi_e[1, 1] = phi_e[0, 2] = 1.0
+        phi_e[5, 3] = phi_e[4, 4] = phi_e[3, 5] = -1.0
+        phi_f = np.zeros((6, 6))
+        phi_f[0, 0] = phi_f[2, 1] = phi_f[1, 2] = 1.0
+        phi_f[3, 3] = phi_f[5, 4] = phi_f[4, 5] = -1.0
+        flips += [phi_e, phi_f]
+    for ks in itertools.product(range(4), repeat=n):
+        rot = symplectic_rotation([k * np.pi / 2 for k in ks], g).matrix
+        for base in (rot, rot @ reflection.matrix):
+            for flip in flips:
+                yield base @ flip
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_residual_group_table_matches_assembled_elements(algebras, n):
     g = algebras[n]
-    table = metric_moduli._residual_group(g)
-    walk = metric_moduli._walk_residual_group(g, itertools.product(range(4), repeat=n))
-    assert len(table[0]) == 4 ** n * 2 * (3 if n == 1 else 1)
-    cols = np.arange(g.dim)
-    for (label, perm, sign), (walked, elem) in itertools.zip_longest(zip(*table), walk):
-        assert label == walked
-        signed = np.zeros((g.dim, g.dim))
-        signed[perm, cols] = sign
-        assert np.abs(elem.matrix - signed).max() <= 1e-15
+    perms, signs = metric_moduli._residual_group(g)
+    assert len(perms) == 4 ** n * 2 * (3 if n == 1 else 1)
+    for perm, sign, elem in itertools.zip_longest(perms, signs, _assembled_group(g)):
+        assert np.abs(elem - metric_moduli._signed_matrix(perm, sign)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_residual_group_generators_are_exact_automorphisms(algebras, n):
+    g = algebras[n]
+    gens = metric_moduli._generators(g)
+    assert len(gens) == n + 1 + (2 if n == 1 else 0)
+    for x in gens:
+        assert x.dtype.kind == "i"
+        defect = bracket_defect(fmat(x), g)
+        assert isinstance(defect, Fraction) and defect == 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_residual_group_table_is_closed_under_composition(algebras, n):
+    """A group at n = 2.  At n = 1 only up to signs: the generators make 48
+    signed permutations over the table's 6 permutations, the table keeps 24,
+    and the signs it drops act trivially on the diagonal n = 1 template."""
+    perms, signs = metric_moduli._residual_group(algebras[n])
+
+    def keys(p, s):
+        return {(tuple(a), tuple(b) if n > 1 else ()) for a, b in zip(p, s)}
+
+    rows = keys(perms, signs)
+    assert len(rows) == (len(perms) if n > 1 else 6)
+    for a in zip(perms, signs):
+        assert keys(*metric_moduli._compose(a, (perms, signs))) == rows
 
 
 def test_residual_group_table_is_cached_and_read_only(algebras):
     g = algebras[2]
     table = metric_moduli._residual_group(g)
     assert metric_moduli._residual_group(build_thn(2)) is table
-    _, perms, signs = table
+    perms, signs = table
     assert not perms.flags.writeable and not signs.flags.writeable
     with pytest.raises(ValueError):
         perms[0, 0] = 1
 
 
-def _brute_force_match(r1, r2, g, tol):
-    """The residual-group search by assembling and applying every candidate."""
+def _brute_force_match(r1, r2, reference, tol):
+    """The residual-group search by applying every assembled candidate."""
     scale = max(1.0, np.abs(r2.reduced).max())
-    for _, elem in metric_moduli._walk_residual_group(g, itertools.product(range(4), repeat=g.n)):
+    for elem in reference:
         if np.abs(act(elem, r1.reduced) - r2.reduced).max() <= tol * scale:
             return elem
     return None
@@ -247,6 +297,7 @@ def _brute_force_match(r1, r2, g, tol):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_residual_group_search_matches_brute_force(algebras, rng, n):
     g = algebras[n]
+    reference = list(_assembled_group(g))
     pairs = []
     for _ in range(3):
         s = random_positive_definite(g, rng)
@@ -261,16 +312,15 @@ def test_residual_group_search_matches_brute_force(algebras, rng, n):
     other_s4 = np.eye(2 * n)
     other_s4[0, 1] = other_s4[1, 0] = 0.4
     other = CanonicalMetric(sigma=(1.0,) * n, S4bar=other_s4, omega4=1.5).matrix()
-    _, last = list(metric_moduli._walk_residual_group(g, [(3,) * n]))[-1]
-    for s1, s2 in ((base, act(last, base)), (np.diag(np.diag(other)), other)):
+    for s1, s2 in ((base, act(reference[-1], base)), (np.diag(np.diag(other)), other)):
         pairs.append((SimpleNamespace(reduced=s1), SimpleNamespace(reduced=s2)))
     found = []
     for r1, r2 in pairs:
         fast = metric_moduli._residual_group_matches(r1, r2, g, 1e-6)
-        slow = _brute_force_match(r1, r2, g, 1e-6)
+        slow = _brute_force_match(r1, r2, reference, 1e-6)
         assert (fast is None) == (slow is None)
         if fast is not None:
-            assert np.array_equal(fast.matrix, slow.matrix)
+            assert np.abs(fast.matrix - slow).max() <= 1e-15
         found.append(fast is not None)
     assert found == [True] * 4 + [False]
 
