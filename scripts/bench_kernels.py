@@ -20,6 +20,9 @@ warm), for every n in ``NS``:
 * ``random_ad_invariant``, one exact draw;
 * ``derivation_algebra``, the largest sparse nullspace, and the exact
   ``signature`` (``ldl_inertia``) of the pseudo-Kahler metric;
+* the other exact solution spaces: ``LieAlgebra.center``,
+  ``ad_invariant_solution_space`` (``ad_invariant_space``) and
+  ``closed_invariant_space``;
 * ``reduce_with_diagnostics`` of a random metric, at n = 1 only
   (``reduce_n1``), where step 2 kills t1 and t4 together;
 * ``are_equivalent`` on an orbit pair (a random metric and its pullback
@@ -58,7 +61,8 @@ NS = (1, 2, 3, 4, 5)
 KERNELS = ("integrability_report_exact", "integrability_report_float", "bracket_defect_float",
            "hermitian_metric_space", "hermitian_defect_exact", "inv_exact", "det_exact",
            "riemann_exact", "certify_pseudo_kahler", "random_ad_invariant", "nullspace_exact",
-           "ldl_inertia_exact", "reduce_n1", "are_equivalent_orbit", "are_equivalent_repeated",
+           "ldl_inertia_exact", "center", "ad_invariant_space", "closed_invariant_space", "reduce_n1",
+           "are_equivalent_orbit", "are_equivalent_repeated",
            "residual_group_table", "bracket_float", "normalize_adapted_float", "second_bianchi_float")
 
 
@@ -105,12 +109,12 @@ def _worker():
     import numpy as np
 
     from heiscot._exact import det, inv
-    from heiscot.adinvariant import random_ad_invariant
+    from heiscot.adinvariant import ad_invariant_solution_space, random_ad_invariant
     from heiscot.automorphism import bracket_defect
     from heiscot.complex_structures import (hermitian_defect, hermitian_metric_space, integrability_report,
                                             normalize_complex_structure)
     from heiscot.curvature import levi_civita, riemann, second_bianchi_defect, signature
-    from heiscot.forms_kahler import certify_pseudo_kahler
+    from heiscot.forms_kahler import certify_pseudo_kahler, closed_invariant_space
     from heiscot.lie_core import derivation_algebra
     from heiscot.metric_moduli import _residual_group, are_equivalent, reduce_with_diagnostics
 
@@ -139,6 +143,9 @@ def _worker():
         out["random_ad_invariant"][n] = best(lambda: random_ad_invariant(g, rng))
         out["nullspace_exact"][n] = best(lambda: derivation_algebra(g))
         out["ldl_inertia_exact"][n] = best(lambda: signature(metric))
+        out["center"][n] = best(lambda: g.center())
+        out["ad_invariant_space"][n] = best(lambda: ad_invariant_solution_space(g))
+        out["closed_invariant_space"][n] = best(lambda: closed_invariant_space(n))
         if n == 1:
             out["reduce_n1"][n] = best(lambda: reduce_with_diagnostics(orbit[0], g))
         out["are_equivalent_orbit"][n] = best(lambda: are_equivalent(*orbit, g))

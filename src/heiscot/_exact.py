@@ -17,6 +17,15 @@ are extremely sparse and dense elimination would waste most of its work);
 a float coefficient is a ``TypeError``.  :func:`ldl_inertia` eliminates
 symmetrically over ints after scaling by one common denominator.
 
+:func:`solution_space` is the one way the package states an exact
+solution space: linear equations on the entries of a matrix (or vector),
+over a list of unknown directions, each a matrix given by its nonzero
+entries.  It maps the equations to sparse rows over the unknowns, solves
+them with :func:`nullspace_sparse` and returns the basis as matrices.  The
+center, the derivation algebra, the ad-invariant forms, the closed
+J0-invariant 2-forms and the J0-invariant template metrics are all
+stated this way.
+
 :class:`SparseQ` is the product kernel behind the exact curvature and
 bracket checks: a rational matrix held as dict-of-rows Python ints over one
 common denominator.  Products, sums and the ad action then run over ints
@@ -63,6 +72,7 @@ __all__ = [
     "rank_sparse",
     "rowspace_sparse",
     "nullspace_sparse",
+    "solution_space",
     "ldl_inertia",
     "SparseQ",
     "ad",
@@ -387,6 +397,52 @@ def nullspace_sparse(rows, nvars: int) -> list[np.ndarray]:
                 vec[pcol] = Fraction(-row[fcol], row[pcol])
         basis.append(vec)
     return basis
+
+
+def solution_space(equations, directions, shape) -> list[np.ndarray]:
+    """Exact basis of the X = sum_k x_k D_k that satisfy every equation.
+
+    Parameters
+    ----------
+    equations : iterable of iterables of (position, coefficient)
+        Each states sum coefficient * X[position] = 0, with rational
+        coefficients; a position may repeat within an equation.
+    directions : list of dict
+        ``directions[k]`` is D_k, the matrix that unknown k stands for, as
+        {position: rational} over its nonzero entries (mostly +-1).
+        Positions no direction touches are zero in every X.
+    shape : tuple
+        The shape of X; positions are indices into an array of that shape.
+
+    Returns
+    -------
+    list of numpy object arrays
+        sum_k vec[k] D_k for each vector of the :func:`nullspace_sparse`
+        basis of the equations over the unknowns, in that order.
+    """
+    touching: dict = {}
+    for k, dk in enumerate(directions):
+        for pos, v in dk.items():
+            touching.setdefault(pos, []).append((k, v))
+    rows = []
+    for eq in equations:
+        row: dict = {}
+        for pos, coef in eq:
+            for k, v in touching.get(pos, ()):
+                row[k] = row.get(k, 0) + coef * v
+        row = {k: c for k, c in row.items() if c}
+        if row:
+            rows.append(row)
+    out = []
+    # a list, looked up at call time: the benchmark's tracer wraps this name and counts rows
+    for vec in nullspace_sparse(rows, len(directions)):
+        x = fzeros(shape)
+        for k, c in enumerate(vec.tolist()):
+            if c:
+                for pos, v in directions[k].items():
+                    x[pos] += c * v
+        out.append(x)
+    return out
 
 
 def ldl_inertia(s: np.ndarray) -> tuple[int, int, int]:

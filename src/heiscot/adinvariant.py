@@ -21,16 +21,15 @@ rather than trusting the argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
 
 from . import _exact
-from ._exact import (SparseQ, ad, congruence_defect, field, field_of, fzeros, is_exact, maxabs,
-                     negligible)
-from .automorphism import AutParams, Automorphism, assemble
+from ._exact import SparseQ, ad, congruence_defect, field, field_of, is_exact, maxabs, negligible
+from .automorphism import Automorphism, assemble, identity_params
 from .curvature import is_flat, levi_civita, riemann
 from .lie_core import LieAlgebra
 
@@ -94,40 +93,24 @@ def solution_space_dimension(n: int) -> int:
 def ad_invariant_solution_space(g: LieAlgebra) -> list[np.ndarray]:
     """Exact basis of {s symmetric : ad_x^T s + s ad_x = 0 for all x}.
 
-    Returns a list of symmetric Fraction matrices.  The equations are
-    assembled sparsely over the structure constants in the d(d+1)/2
-    upper-triangle variables and solved by exact elimination.
+    Returns a list of symmetric Fraction matrices.  One equation
+    <[x,y],w> + <y,[x,w]> = 0 per x and y <= w, over the symmetric units
+    E_ab + E_ba, a < b, and E_aa, in row-major order of the upper triangle.
     """
     d = g.dim
-    pairs = [(a, b) for a in range(d) for b in range(a, d)]
-    idx = {p: k for k, p in enumerate(pairs)}
 
-    def sidx(a, b):
-        return idx[(a, b)] if a <= b else idx[(b, a)]
+    def equations():
+        for x in range(d):
+            for y in range(d):
+                for w in range(y, d):
+                    eq = [((k, w), v) for (k, v) in g.bracket_sparse(x, y)]
+                    eq += [((y, k), v) for (k, v) in g.bracket_sparse(x, w)]
+                    if eq:
+                        yield eq
 
-    rows = []
-    for x in range(d):
-        for y in range(d):
-            for w in range(y, d):
-                row: dict = {}
-                for (k, v) in g.bracket_sparse(x, y):
-                    col = sidx(k, w)
-                    row[col] = row.get(col, Fraction(0)) + v
-                for (k, v) in g.bracket_sparse(x, w):
-                    col = sidx(y, k)
-                    row[col] = row.get(col, Fraction(0)) + v
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    basis = []
-    for vec in _exact.nullspace_sparse(rows, len(pairs)):
-        s = fzeros((d, d))
-        for k, (a, b) in enumerate(pairs):
-            if vec[k]:
-                s[a, b] = vec[k]
-                s[b, a] = vec[k]
-        basis.append(s)
-    return basis
+    # at a = b the two keys coincide, which leaves E_aa
+    units = [{(a, b): 1, (b, a): 1} for a in range(d) for b in range(a, d)]
+    return _exact.solution_space(equations(), units, (d, d))
 
 
 def template_defect(s: np.ndarray, n: int) -> tuple[object, object]:
@@ -214,14 +197,7 @@ def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> 
     f1_block[m - 1, m - 1] = f1
     sbar = s[:m, :m]
     f3 = -(one / (2 * alpha)) * (sbar @ f1_block)
-    params = AutParams(
-        Fbar1=fld.eye(2 * n),
-        u1=fld.zeros(2 * n),
-        v1=fld.zeros(2 * n),
-        f1=f1,
-        F3=f3,
-    )
-    aut = assemble(params, g, tol=tol)
+    aut = assemble(replace(identity_params(n, fld.exact), f1=f1, F3=f3), g, tol=tol)
     residual = congruence_defect(aut.matrix, s, pairing_metric(n, exact=fld.exact))
     if not negligible(residual, tol, s):
         raise ValueError(f"normalization residual {residual} out of tolerance")

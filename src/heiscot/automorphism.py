@@ -21,7 +21,7 @@ checked fact, not an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 
@@ -246,14 +246,7 @@ def symplectic_rotation(angles, g: LieAlgebra) -> Automorphism:
         fb1[n + i, i] = -s
         fb1[i, n + i] = s
         fb1[n + i, n + i] = c
-    params = AutParams(
-        Fbar1=fb1,
-        u1=np.zeros(2 * n),
-        v1=np.zeros(2 * n),
-        f1=1.0,
-        F3=np.zeros((2 * n + 1, 2 * n + 1)),
-    )
-    return assemble(params, g)
+    return assemble(replace(identity_params(n), Fbar1=fb1), g)
 
 
 def random_conformal_symplectic(n: int, rng: np.random.Generator,

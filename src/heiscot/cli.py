@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -168,8 +168,7 @@ def _aut_checks(n: int, seed: int, tol: float) -> list[Check]:
         u1 = params.u1.copy()
         u1[0] = Fraction(1)
         try:
-            assemble(type(params)(Fbar1=params.Fbar1, u1=u1, v1=params.v1,
-                                   f1=params.f1, F3=params.F3), g)
+            assemble(replace(params, u1=u1), g)
             rejected = False
         except ValueError:
             rejected = True

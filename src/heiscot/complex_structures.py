@@ -51,16 +51,16 @@ conjugating J to J0.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import lstsq
 
 from . import _exact
-from ._exact import (SparseQ, ad, congruence_defect, feye, field, field_of, fzeros, maxabs,
-                     negligible, nullspace_sparse, signed_permutation, to_float)
-from .automorphism import AutParams, Automorphism, _pair_tables, assemble, is_automorphism
+from ._exact import (SparseQ, ad, congruence_defect, feye, field, field_of, maxabs, negligible,
+                     signed_permutation, to_float)
+from .automorphism import Automorphism, _pair_tables, assemble, identity_params, is_automorphism
 from .lie_core import LieAlgebra, standard_symplectic
 
 __all__ = [
@@ -386,9 +386,7 @@ def sign_reversing_automorphism(n: int, g: LieAlgebra) -> Automorphism:
     fb1 = feye(2 * n)
     for i in range(n):
         fb1[n + i, n + i] = -fb1[n + i, n + i]
-    params = AutParams(Fbar1=fb1, u1=fzeros(2 * n), v1=fzeros(2 * n),
-                       f1=Fraction(1), F3=fzeros((2 * n + 1, 2 * n + 1)))
-    return assemble(params, g)
+    return assemble(replace(identity_params(n, exact=True), Fbar1=fb1), g)
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +478,8 @@ def _normalize_template(j: np.ndarray, g: LieAlgebra,
     half = fld.scalar(1) / 2
     f3 = fld.zeros((m, m))
     f3[: 2 * n, : 2 * n] = -(params.epsilon * half) * (np.asarray(params.jbar3) @ jb)
-    aut = assemble(
-        AutParams(
-            Fbar1=fld.eye(2 * n),
-            u1=fld.zeros(2 * n),
-            v1=fld.zeros(2 * n),
-            f1=params.epsilon * fld.scalar(params.n2),
-            F3=f3,
-        ),
-        g,
-    )
+    f1 = params.epsilon * fld.scalar(params.n2)
+    aut = assemble(replace(identity_params(n, fld.exact), f1=f1, F3=f3), g)
     fm = aut.matrix
     j0 = standard_complex_structure(n, exact=fld.exact)
     resid = maxabs(fld.solve(fm, j @ fm) - params.epsilon * j0)
@@ -734,67 +724,49 @@ class HermitianMetricSpace:
     n: int
     particular: np.ndarray
     directions: list
-    dimension: int
+
+    @property
+    def dimension(self) -> int:
+        return len(self.directions)
 
     @property
     def expected_dimension(self) -> int:
         return self.n * self.n + self.n - 1
 
 
-def _template_direction_vars(n: int) -> list[set]:
-    """Free directions of the canonical template diag(D(sigma), 1, S4bar, omega4).
+def _j0_invariance_equations(n: int):
+    """The entries a <= b of J0^T X J0 - X, as equations on the entries of X.
 
-    sigma_n and the z* entry are pinned by the normalization, so the
-    direction space is sigma_1..sigma_{n-1}, the upper entries of S4bar
-    except the n prescribed zeros, and omega4.  Each direction is the set
-    of (row, col) positions of its unit entries.
+    J0 is a signed permutation, J0 b_c = sgn_c b_img(c), so
+    (J0^T X J0)[a, b] = sgn_a sgn_b X[img(a), img(b)]: no matrix product.
     """
+    img, sgn = (x.tolist() for x in signed_permutation(standard_complex_structure(n)))
     d = 4 * n + 2
-    m = 2 * n + 1
-    dirs = [{(i, i), (n + i, n + i)} for i in range(n - 1)]
-    dirs += [{(m + r, m + c), (m + c, m + r)}
-             for r in range(2 * n) for c in range(r, 2 * n) if c != r + n]
-    dirs.append({(d - 1, d - 1)})
-    return dirs
+    for a in range(d):
+        for b in range(a, d):
+            yield [((img[a], img[b]), sgn[a] * sgn[b]), ((a, b), -1)]
 
 
 def hermitian_metric_space(n: int) -> HermitianMetricSpace:
     """Exact solve of J0^T S J0 = S over the canonical metric template.
 
-    J0 is a signed permutation, J0 b_c = sgn_c b_img(c), so
-    (J0^T E J0)[p, q] = sgn_p sgn_q E[img(p), img(q)]: the equations of
-    every unit direction E are written down entry by entry, with no
-    matrix product.
+    The template diag(D(sigma), 1, S4bar, omega4) has sigma_n and the z*
+    entry pinned by the normalization, so its free directions are
+    sigma_1..sigma_{n-1}, the symmetric units of S4bar except the n
+    prescribed zeros, and omega4.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     d = 4 * n + 2
-    img, sgn = signed_permutation(standard_complex_structure(n))
-    pre = {r: c for c, r in enumerate(img)}
-    dirs = _template_direction_vars(n)
-    eqs: dict = {}
-    for k, entries in enumerate(dirs):
-        for (r, c) in entries:
-            p, q = pre[r], pre[c]
-            for (a, b, v) in ((p, q, Fraction(sgn[p] * sgn[q])), (r, c, Fraction(-1))):
-                if a <= b:
-                    row = eqs.setdefault((a, b), {})
-                    row[k] = row.get(k, 0) + v
-    rows = [{k: v for k, v in row.items() if v} for _, row in sorted(eqs.items())]
-    rows = [row for row in rows if row]
-    basis = nullspace_sparse(rows, len(dirs))
-    directions = []
-    for vec in basis:
-        mat = fzeros((d, d))
-        for k, coef in enumerate(vec):
-            if coef != 0:
-                for (r, c) in dirs[k]:
-                    mat[r, c] = coef
-        directions.append(mat)
+    m = 2 * n + 1
+    dirs = [{(i, i): 1, (n + i, n + i): 1} for i in range(n - 1)]
+    dirs += [{(m + r, m + c): 1, (m + c, m + r): 1}
+             for r in range(2 * n) for c in range(r, 2 * n) if c != r + n]
+    dirs.append({(d - 1, d - 1): 1})
     particular = feye(d)
     assert hermitian_defect(standard_complex_structure(n, exact=True), particular) == 0
-    return HermitianMetricSpace(n=n, particular=particular,
-                                directions=directions, dimension=len(directions))
+    directions = _exact.solution_space(_j0_invariance_equations(n), dirs, (d, d))
+    return HermitianMetricSpace(n=n, particular=particular, directions=directions)
 
 
 def matches_hermitian_family(s: np.ndarray, n: int, tol: float = 1e-10) -> bool:

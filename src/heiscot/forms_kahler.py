@@ -41,12 +41,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from . import _exact
-from ._exact import (field, field_of, fmat, fzeros, maxabs, negligible, nullspace_sparse,
-                     signed_permutation)
+from ._exact import field, field_of, fmat, maxabs, negligible, signed_permutation, solution_space
 from .curvature import (
     is_flat,
     levi_civita,
@@ -55,7 +55,8 @@ from .curvature import (
     riemann,
     signature,
 )
-from .complex_structures import hermitian_defect, standard_complex_structure
+from .complex_structures import (_j0_invariance_equations, hermitian_defect,
+                                 standard_complex_structure)
 from .lie_core import LieAlgebra, build_thn
 
 __all__ = [
@@ -106,6 +107,18 @@ def d_one_form(alpha: np.ndarray, g: LieAlgebra) -> np.ndarray:
     return out
 
 
+@cache
+def _d_two_form_terms(g: LieAlgebra) -> tuple:
+    """(a, b, c, terms) for every triple a < b < c, where
+    (d Omega)(b_a, b_b, b_c) = sum coef Omega[k, w] over (k, w), coef in terms.
+
+    Tabulated once per algebra: every closure check evaluates it."""
+    return tuple((a, b, c, [((k, w), sgn * v)
+                            for (x, y, w, sgn) in ((a, b, c, -1), (a, c, b, 1), (b, c, a, -1))
+                            for (k, v) in g.bracket_sparse(x, y)])
+                 for a, b, c in itertools.combinations(range(g.dim), 3))
+
+
 def _d_two_form_triples(omega: np.ndarray, g: LieAlgebra) -> tuple[object, list]:
     """(field, [(a, b, c, (d Omega)(b_a, b_b, b_c)) for every triple a < b < c])."""
     omega = np.asarray(omega)
@@ -114,11 +127,10 @@ def _d_two_form_triples(omega: np.ndarray, g: LieAlgebra) -> tuple[object, list]
         raise ValueError("form dimension mismatch")
     fld = field_of(omega)
     out = []
-    for a, b, c in itertools.combinations(range(d), 3):
+    for a, b, c, terms in _d_two_form_terms(g):
         acc = fld.scalar(0)
-        for (x, y, w, sgn) in ((a, b, c, -1), (a, c, b, 1), (b, c, a, -1)):
-            for (k, v) in g.bracket_sparse(x, y):
-                acc += sgn * fld.scalar(v) * omega[k, w]
+        for pos, coef in terms:
+            acc += fld.scalar(coef) * omega[pos]
         out.append((a, b, c, acc))
     return fld, out
 
@@ -165,56 +177,17 @@ def j_invariant(omega: np.ndarray, j: np.ndarray, tol: float = 1e-10) -> bool:
 def closed_invariant_space(n: int) -> list[np.ndarray]:
     """Exact basis of {Omega antisymmetric : d Omega = 0, J0-invariant}.
 
-    Solves the stacked homogeneous system over the upper-triangle entries
-    with rational elimination; no tolerances are involved.  Dimensions:
-    5, 9, 19, 33 for n = 1..4, i.e. 2n^2 + 1 for n >= 2 plus the two
-    extra n = 1 forms.
+    Solves the closure and J0-invariance equations over the antisymmetric
+    units E_pq - E_qp, p < q, with rational elimination; no tolerances are
+    involved.  Dimensions: 5, 9, 19, 33 for n = 1..4, i.e. 2n^2 + 1 for
+    n >= 2 plus the two extra n = 1 forms.
     """
     g = build_thn(n)
     d = g.dim
-    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
-    vidx = {pq: k for k, pq in enumerate(pairs)}
-
-    def omcoef(p, q):
-        if p < q:
-            return vidx[(p, q)], 1
-        if p > q:
-            return vidx[(q, p)], -1
-        return None, 0
-
-    rows = []
-    for a, b, c in itertools.combinations(range(d), 3):
-        row: dict[int, Fraction] = {}
-        for (x, y, w, sgn) in ((a, b, c, -1), (a, c, b, 1), (b, c, a, -1)):
-            for (k, v) in g.bracket_sparse(x, y):
-                iv, s = omcoef(k, w)
-                if s:
-                    row[iv] = row.get(iv, Fraction(0)) + sgn * s * v
-        row = {k: v for k, v in row.items() if v != 0}
-        if row:
-            rows.append(row)
-    img, sgn = signed_permutation(standard_complex_structure(n))
-    for p, q in pairs:
-        row = {}
-        iv, s = omcoef(img[p], img[q])
-        if s:
-            row[iv] = row.get(iv, Fraction(0)) + sgn[p] * sgn[q] * s
-        iv, s = omcoef(p, q)
-        if s:
-            row[iv] = row.get(iv, Fraction(0)) - s
-        row = {k: v for k, v in row.items() if v != 0}
-        if row:
-            rows.append(row)
-    vecs = nullspace_sparse(rows, len(pairs))
-    out = []
-    for vec in vecs:
-        m = fzeros((d, d))
-        for (p, q), k in vidx.items():
-            if vec[k] != 0:
-                m[p, q] = vec[k]
-                m[q, p] = -vec[k]
-        out.append(m)
-    return out
+    equations = itertools.chain((terms for *_, terms in _d_two_form_terms(g)),
+                                _j0_invariance_equations(n))
+    units = [{(p, q): 1, (q, p): -1} for p in range(d) for q in range(p + 1, d)]
+    return solution_space(equations, units, (d, d))
 
 
 def closed_invariant_dimension(n: int) -> int:

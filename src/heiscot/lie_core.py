@@ -174,19 +174,16 @@ class LieAlgebra:
         return _exact.ad(self, x.rows.get(0, {}), x.den)
 
     def center(self) -> list[np.ndarray]:
-        """Exact basis of the center, as Fraction coordinate vectors."""
-        rows = []
+        """Exact basis of the center, as Fraction coordinate vectors: the v with
+        sum_j c_ij^k v_j = 0 for every i and k, over the unit vectors."""
+        eqs = []
         for i in range(self.dim):
             byk: dict = {}
             for j in range(self.dim):
                 for (k, v) in self._lookup.get((i, j), ()):
-                    byk.setdefault(k, {})
-                    byk[k][j] = byk[k].get(j, Fraction(0)) + v
-            for row in byk.values():
-                row = {j: v for j, v in row.items() if v}
-                if row:
-                    rows.append(row)
-        return _exact.nullspace_sparse(rows, self.dim)
+                    byk.setdefault(k, []).append((j, v))
+            eqs += byk.values()
+        return _exact.solution_space(eqs, [{j: 1} for j in range(self.dim)], (self.dim,))
 
     def derived_subalgebra(self) -> list[np.ndarray]:
         """Exact basis of [g, g] (span of all basis brackets): its reduced row
@@ -337,27 +334,23 @@ def standard_symplectic(n: int, exact: bool = False) -> np.ndarray:
 def derivation_algebra(g: LieAlgebra) -> list[np.ndarray]:
     """Exact basis of Der(g): all D with D[b_i,b_j] = [Db_i,b_j] + [b_i,Db_j].
 
-    Solves the sparse homogeneous system over the rationals; the unknowns are
-    the d^2 entries of D (row-major).  Returns dtype=object matrices.
+    One equation per pair i < j and component l, over the d^2 unit
+    matrices E_lm in row-major order.  Returns dtype=object matrices.
     """
     d = g.dim
     lookup = g._lookup
-    rows = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            for l in range(d):
-                row: dict = {}
-                for (k, v) in lookup.get((i, j), ()):
-                    row[l * d + k] = row.get(l * d + k, Fraction(0)) + v
+
+    def equations():
+        for i in range(d):
+            for j in range(i + 1, d):
+                # component l of D[b_i,b_j] - [Db_i,b_j] - [b_i,Db_j]
+                eqs = [[((l, k), v) for (k, v) in lookup.get((i, j), ())] for l in range(d)]
                 for m in range(d):
-                    for (kk, v) in lookup.get((m, j), ()):
-                        if kk == l:
-                            row[m * d + i] = row.get(m * d + i, Fraction(0)) - v
-                    for (kk, v) in lookup.get((i, m), ()):
-                        if kk == l:
-                            row[m * d + j] = row.get(m * d + j, Fraction(0)) - v
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    basis = _exact.nullspace_sparse(rows, d * d)
-    return [vec.reshape(d, d) for vec in basis]
+                    for (l, v) in lookup.get((m, j), ()):
+                        eqs[l].append(((m, i), -v))
+                    for (l, v) in lookup.get((i, m), ()):
+                        eqs[l].append(((m, j), -v))
+                yield from eqs
+
+    units = [{(l, m): 1} for l in range(d) for m in range(d)]
+    return _exact.solution_space(equations(), units, (d, d))

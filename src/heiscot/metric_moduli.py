@@ -34,7 +34,7 @@ partially reduced data in every case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -44,8 +44,8 @@ from ._exact import fmat, signed_permutation, to_float
 from .lie_core import LieAlgebra, standard_symplectic
 from .automorphism import (
     Automorphism,
-    AutParams,
     assemble,
+    identity_params,
     is_automorphism,
     symplectic_rotation,
 )
@@ -201,6 +201,8 @@ def williamson(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m.shape != (two_n, two_n) or two_n % 2:
         raise ValueError("expected a square matrix of even size")
     n = two_n // 2
+    if not np.isfinite(m).all():
+        raise NonPositiveDefinite("matrix has non-finite entries")
     scale = max(1.0, np.abs(m).max())
     if np.abs(m - m.T).max() > 1e-12 * scale:
         raise NonPositiveDefinite("matrix is not symmetric")
@@ -240,16 +242,6 @@ def williamson(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fbar, sigma
 
 
-def _zeros_params(n: int, fb1=None, u1=None, v1=None, f1=1.0, f3=None) -> AutParams:
-    return AutParams(
-        Fbar1=np.eye(2 * n) if fb1 is None else fb1,
-        u1=np.zeros(2 * n) if u1 is None else u1,
-        v1=np.zeros(2 * n) if v1 is None else v1,
-        f1=f1,
-        F3=np.zeros((2 * n + 1, 2 * n + 1)) if f3 is None else f3,
-    )
-
-
 def _center_pairings(s: np.ndarray) -> list:
     """Every (u1, v1) that kills t1 and t4 of an n = 1 metric with S2 = 0, smallest first.
 
@@ -277,9 +269,9 @@ def _center_pairing(s: np.ndarray, g: LieAlgebra) -> Automorphism:
     n = g.n
     if n == 1:
         u1, v1 = _center_pairings(s)[0]
-        return assemble(_zeros_params(n, u1=u1, v1=v1), g)
+        return assemble(replace(identity_params(n), u1=u1, v1=v1), g)
     s1b, t1, _, _, _, _, _ = split_blocks(s, n)
-    return assemble(_zeros_params(n, v1=-np.linalg.solve(s1b, t1)), g)
+    return assemble(replace(identity_params(n), v1=-np.linalg.solve(s1b, t1)), g)
 
 
 def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
@@ -297,12 +289,11 @@ def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
     s = np.asarray(s, dtype=float)
     if s.shape != (d, d):
         raise ValueError("metric dimension mismatch")
+    if not np.isfinite(s).all():
+        raise NonPositiveDefinite("metric has non-finite entries")
     if np.abs(s - s.T).max() > 1e-9 * max(1.0, np.abs(s).max()):
         raise NonPositiveDefinite("metric is not symmetric")
     s = 0.5 * (s + s.T)   # drop pullback roundoff asymmetry
-    scale = max(1.0, np.abs(s).max())
-    if np.abs(s - s.T).max() > 1e-12 * scale:
-        raise NonPositiveDefinite("metric is not symmetric")
     if np.linalg.eigvalsh(s).min() <= 0:
         raise NonPositiveDefinite("metric is not positive definite")
 
@@ -313,7 +304,7 @@ def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
     s2 = cur[:m, m:]
     s4 = cur[m:, m:]
     f3 = -np.linalg.solve(s4, s2.T)
-    step = assemble(_zeros_params(n, f3=f3), g)
+    step = assemble(replace(identity_params(n), F3=f3), g)
     f_total = f_total @ step
     cur = _sym(act(step, cur))
 
@@ -327,7 +318,7 @@ def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
     fbar, sigma = williamson(s1b)
     fbar = fbar / np.sqrt(sigma[-1])
     f1 = 1.0 / np.sqrt(om1)
-    step = assemble(_zeros_params(n, fb1=fbar, f1=f1), g)
+    step = assemble(replace(identity_params(n), Fbar1=fbar, f1=f1), g)
     f_total = f_total @ step
     cur = _sym(act(step, cur))
 

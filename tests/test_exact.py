@@ -18,6 +18,7 @@ from heiscot._exact import (
     rank_sparse,
     rowspace_sparse,
     signed_permutation,
+    solution_space,
     solve,
     to_float,
 )
@@ -153,3 +154,54 @@ def test_signed_permutation_reads_exact_and_float_matrices_and_rejects_the_rest(
     for bad in (2 * m, m + 1e-15, m[:2], m[[0, 0, 2]], np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]])):
         with pytest.raises(ValueError):
             signed_permutation(bad)
+
+
+def _same_basis(xs, ys):
+    return len(xs) == len(ys) and all(
+        x.shape == y.shape
+        and all(type(u) is Fraction and u == v for u, v in zip(x.ravel(), y.ravel()))
+        for x, y in zip(xs, ys))
+
+
+def test_solution_space_ignores_equation_order_and_repeats():
+    # X on a 3 x 3 grid of unit directions, tied by X00 = X11 + X22, X11 = 2 X01, X02 = X12
+    units = [{(i, j): 1} for i in range(3) for j in range(3)]
+    eqs = [[((0, 0), 1), ((1, 1), -1), ((2, 2), -1)], [((1, 1), 1), ((0, 1), Fraction(-2))],
+           [((0, 2), 1), ((1, 2), -1)]]
+    basis = solution_space(eqs, units, (3, 3))
+    assert len(basis) == 6
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        shuffled = [eqs[i] for i in rng.permutation(3)] + [eqs[i] for i in rng.integers(0, 3, 4)]
+        shuffled = [[eq[i] for i in rng.permutation(len(eq))] for eq in shuffled]
+        assert _same_basis(solution_space(iter(shuffled), units, (3, 3)), basis)
+    for x in basis:
+        assert x[0, 0] == x[1, 1] + x[2, 2] and x[1, 1] == 2 * x[0, 1] and x[0, 2] == x[1, 2]
+
+
+def test_solution_space_drops_positions_no_direction_touches():
+    # only the diagonal is free; terms on off-diagonal positions are zero and vanish
+    units = [{(i, i): 1} for i in range(3)]
+    eqs = [[((0, 0), 1), ((0, 1), 5)], [((1, 2), 1)], [((1, 1), 1), ((2, 2), 1), ((2, 0), -3)]]
+    basis = solution_space(eqs, units, (3, 3))
+    kept = [[((1, 1), 1), ((2, 2), 1)], [((0, 0), 1)]]
+    assert _same_basis(basis, solution_space(kept, units, (3, 3)))
+    assert len(basis) == 1 and basis[0].tolist() == [[0, 0, 0], [0, -1, 0], [0, 0, 1]]
+    # equations on untouched positions alone constrain nothing
+    free = solution_space([[((0, 1), 1), ((2, 1), 4)]], units, (3, 3))
+    assert _same_basis(free, [fmat(np.diag(row)) for row in np.eye(3, dtype=int)])
+
+
+def test_solution_space_reads_two_entry_directions():
+    # symmetric units E_ab + E_ba on a 2 x 2 grid, with X01 = X00 and X11 = -2 X10
+    units = [{(0, 0): 1}, {(0, 1): 1, (1, 0): 1}, {(1, 1): 1}]
+    basis = solution_space([[((0, 1), 1), ((0, 0), -1)], [((1, 1), 1), ((1, 0), 2)]], units, (2, 2))
+    assert len(basis) == 1
+    # the free unknown is the last one, X11 = 1
+    half = Fraction(-1, 2)
+    assert basis[0].tolist() == [[half, half], [half, 1]]
+    # antisymmetric units read the sign of the entry they meet
+    anti = [{(0, 1): 1, (1, 0): -1}]
+    assert solution_space([[((1, 0), 1)]], anti, (2, 2)) == []
+    free = solution_space([[((1, 0), 1), ((0, 1), 1)]], anti, (2, 2))
+    assert len(free) == 1 and free[0].tolist() == [[0, 1], [-1, 0]]

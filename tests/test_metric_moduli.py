@@ -10,8 +10,8 @@ import pytest
 
 from heiscot import metric_moduli
 from heiscot._exact import fmat
-from heiscot.automorphism import (assemble, bracket_defect, is_automorphism, random_automorphism,
-                                  symplectic_rotation)
+from heiscot.automorphism import (assemble, bracket_defect, identity_params, is_automorphism,
+                                  random_automorphism, symplectic_rotation)
 from heiscot.cli import run
 from heiscot.lie_core import build_thn
 from heiscot.metric_moduli import (
@@ -96,6 +96,25 @@ def test_reduce_rejects_asymmetric_and_indefinite(algebras):
         reduce_with_diagnostics(bad, g)
     with pytest.raises(NonPositiveDefinite):
         reduce_with_diagnostics(-np.eye(6), g)
+
+
+def _poisoned(d, value, cells):
+    s = np.eye(d)
+    for cell in cells:
+        s[cell] = value
+    return s
+
+
+@pytest.mark.parametrize("value,cells", [(np.nan, [(1, 1)]), (np.nan, [(0, 2), (2, 0)]),
+                                         (np.inf, [(3, 3)]), (-np.inf, [(1, 4), (4, 1)])])
+def test_non_finite_metrics_raise_the_domain_error(algebras, value, cells):
+    g = algebras[1]
+    bad = _poisoned(6, value, cells)
+    bad2 = _poisoned(2, value, [(i % 2, j % 2) for i, j in cells])
+    for call in (lambda: reduce_with_diagnostics(bad, g), lambda: are_equivalent(bad, np.eye(6), g),
+                 lambda: are_equivalent(np.eye(6), bad, g), lambda: williamson(bad2)):
+        with pytest.raises(NonPositiveDefinite, match="non-finite"):
+            call()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -202,8 +221,8 @@ def test_pencil_choices_differ_by_center_slot_flips(algebras, rng):
         s = _without_s2(random_positive_definite(g, rng))
         pairings = metric_moduli._center_pairings(s)
         assert len(pairings) == 3
-        reduced = [reduce_with_diagnostics(act(assemble(metric_moduli._zeros_params(
-            1, u1=u1, v1=v1), g), s), g) for u1, v1 in pairings]
+        reduced = [reduce_with_diagnostics(act(assemble(dataclasses.replace(
+            identity_params(1), u1=u1, v1=v1), g), s), g) for u1, v1 in pairings]
         for r in reduced:
             assert r.residual <= 1e-9 * max(1.0, np.abs(s).max())
         for r in reduced[1:]:
@@ -221,7 +240,8 @@ def _assembled_group(g):
     repeat=n): the enumeration the generated table must reproduce.
     """
     n = g.n
-    reflection = assemble(metric_moduli._zeros_params(n, fb1=np.diag([1.0] * n + [-1.0] * n)), g)
+    fb1 = np.diag([1.0] * n + [-1.0] * n)
+    reflection = assemble(dataclasses.replace(identity_params(n), Fbar1=fb1), g)
     flips = [np.eye(g.dim)]
     if n == 1:
         # phi_e: e <-> z*, e* <-> -z, f* -> -f*; phi_f the same with f for e
