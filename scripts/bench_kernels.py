@@ -38,10 +38,12 @@ warm), for every n in ``NS``:
 The kernels of this checkout's ``src/`` are always timed.  With
 ``--parent DIR``, where DIR holds another revision of the repository (for
 example unpacked with ``git archive``), the same inputs are timed against
-``DIR/src`` too.  Every revision runs in its own process with one BLAS
-thread.  The result goes to ``--out`` (``BENCH_structure_kernels.json`` at
-the repository root by default), with the machine conditions it was
-measured under.
+``DIR/src`` too, in ``ROUNDS`` alternating rounds (this checkout first,
+then the parent first, and so on), and each side keeps its best time per
+kernel, so drift of the host over the run hits both sides alike.  Every
+revision runs in its own process with one BLAS thread.  The result goes
+to ``--out`` (``BENCH_structure_kernels.json`` at the repository root by
+default), with the machine conditions it was measured under.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 3
+ROUNDS = 3
 NS = (1, 2, 3, 4, 5)
 KERNELS = ("integrability_report_exact", "integrability_report_float", "bracket_defect_float",
            "hermitian_metric_space", "hermitian_defect_exact", "inv_exact", "det_exact",
@@ -166,6 +169,11 @@ def _run(src):
     return json.loads(subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout)
 
 
+def _best_of(runs):
+    """Per kernel and n, the fastest time over several worker runs."""
+    return {k: {n: min(r[k][n] for r in runs) for n in runs[0][k]} for k in KERNELS}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", type=Path, help="another revision's checkout to time against")
@@ -178,12 +186,18 @@ def main():
     import numpy as np
 
     load_before = os.getloadavg()
-    result = {
-        "what": f"kernel wall time in ms, best of {REPEAT}, per n",
-        "change": _run(ROOT / "src"),
-    }
-    if args.parent is not None:
-        result["parent"] = _run(args.parent / "src")
+    result = {"what": f"kernel wall time in ms, best of {REPEAT}, per n"}
+    if args.parent is None:
+        result["change"] = _run(ROOT / "src")
+    else:
+        result["what"] += f", best of {ROUNDS} alternating rounds per side"
+        srcs = {"change": ROOT / "src", "parent": args.parent / "src"}
+        runs = {"change": [], "parent": []}
+        for r in range(ROUNDS):
+            for side in ("change", "parent") if r % 2 == 0 else ("parent", "change"):
+                runs[side].append(_run(srcs[side]))
+        result["change"] = _best_of(runs["change"])
+        result["parent"] = _best_of(runs["parent"])
         result["speedup"] = {k: {n: round(result["parent"][k][n] / result["change"][k][n], 1)
                                  for n in result["change"][k]} for k in KERNELS}
     result["machine"] = {

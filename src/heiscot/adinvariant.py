@@ -79,9 +79,9 @@ def ad_invariance_defect(g: LieAlgebra, s: np.ndarray):
     return worst
 
 
-def is_ad_invariant(g: LieAlgebra, s: np.ndarray, tol: float = 1e-12) -> bool:
-    """Zero defect, exactly for exact input, else within tol relative to max |s|."""
-    return negligible(ad_invariance_defect(g, s), tol, s)
+def is_ad_invariant(g: LieAlgebra, s: np.ndarray) -> bool:
+    """Zero defect, exactly for exact input, else within 1e-12 relative to max |s|."""
+    return negligible(ad_invariance_defect(g, s), 1e-12, s)
 
 
 def solution_space_dimension(n: int) -> int:
@@ -163,7 +163,7 @@ class NormalizedAdInvariant:
     residual: object
 
 
-def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> NormalizedAdInvariant:
+def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra) -> NormalizedAdInvariant:
     """Automorphism F with F^T s F equal to the duality pairing.
 
     Writing s = [[Sbar, alpha E], [alpha E, 0]], the blocks
@@ -173,7 +173,7 @@ def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> 
     do it: the F3 term cancels Sbar against the cross pairing, and the
     induced F4 = diag(E/alpha, 1) rescales the cross block to E.  The
     residual max |F^T s F - pairing| is a Fraction for exact input, and
-    then exactly zero.
+    then exactly zero; float input passes within 1e-12 relative to max |s|.
 
     Raises
     ------
@@ -183,10 +183,10 @@ def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> 
     n = g.n
     m = 2 * n + 1
     fld = field_of(s)
-    if not is_ad_invariant(g, s, tol=tol):
+    if not is_ad_invariant(g, s):
         raise ValueError("matrix is not ad-invariant")
     defect, alpha = template_defect(s, n)
-    if not negligible(defect, tol, s):
+    if not negligible(defect, 1e-12, s):
         raise ValueError("matrix is ad-invariant but off-template; this cannot happen")
     if alpha == 0:
         raise ValueError("degenerate form: alpha = 0")
@@ -197,19 +197,19 @@ def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> 
     f1_block[m - 1, m - 1] = f1
     sbar = s[:m, :m]
     f3 = -(one / (2 * alpha)) * (sbar @ f1_block)
-    aut = assemble(replace(identity_params(n, fld.exact), f1=f1, F3=f3), g, tol=tol)
+    aut = assemble(replace(identity_params(n, fld.exact), f1=f1, F3=f3), g)
     residual = congruence_defect(aut.matrix, s, pairing_metric(n, exact=fld.exact))
-    if not negligible(residual, tol, s):
+    if not negligible(residual, 1e-12, s):
         raise ValueError(f"normalization residual {residual} out of tolerance")
     return NormalizedAdInvariant(automorphism=aut, alpha=alpha, residual=residual)
 
 
-def certify_flat(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> dict:
+def certify_flat(s: np.ndarray, g: LieAlgebra) -> dict:
     """Check nabla = ad/2 and R = 0 for an ad-invariant metric.
 
     Runs the generic Koszul/curvature pipeline, not the bi-invariant
-    shortcut, and reports both defects.  Exact input certifies exactly:
-    both defects are then Fractions.
+    shortcut, and reports both defects.  Exact input certifies exactly (both
+    defects are then Fractions); float input is flat at 1e-12.
     """
     fld = field_of(s)
     gamma = levi_civita(g, s)
@@ -219,5 +219,5 @@ def certify_flat(s: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> dict:
     return {
         "half_ad_defect": maxabs(diff),
         "riemann_max": maxabs(riem),
-        "flat": is_flat(riem, tol=tol),
+        "flat": is_flat(riem, tol=1e-12),
     }

@@ -69,13 +69,13 @@ class AutParams:
     def exact(self) -> bool:
         return _exact.is_exact(np.asarray(self.Fbar1))
 
-    def f4(self, tol: float = 1e-12):
-        """Conformal factor from Fbar1^T J Fbar1 = f4 J; raises if the identity fails."""
+    def f4(self):
+        """Conformal factor from Fbar1^T J Fbar1 = f4 J; raises if the identity fails (at 1e-12)."""
         n = self.n
         j = standard_symplectic(n, exact=self.exact)
         m = np.asarray(self.Fbar1).T @ j @ np.asarray(self.Fbar1)
         f4 = m[0, n] / j[0, n]
-        if not negligible(maxabs(m - f4 * j), tol, m):
+        if not negligible(maxabs(m - f4 * j), 1e-12, m):
             raise ValueError("Fbar1 is not conformal symplectic")
         if f4 == 0:
             raise ValueError("conformal factor f4 must be nonzero")
@@ -157,12 +157,12 @@ def is_automorphism(m: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> bool:
     return negligible(bracket_defect(m, g), tol, m, power=2)
 
 
-def assemble(params: AutParams, g: LieAlgebra, tol: float = 1e-12) -> Automorphism:
+def assemble(params: AutParams, g: LieAlgebra) -> Automorphism:
     """Build the full (4n+2) x (4n+2) automorphism from block data.
 
     The determined blocks (F4, u4, v4, f4) are filled in and bracket
     preservation is re-verified before returning.  Exact inputs give an
-    exact check; float inputs are checked at ``tol``.
+    exact check; float inputs are checked at 1e-12.
 
     Raises
     ------
@@ -175,7 +175,7 @@ def assemble(params: AutParams, g: LieAlgebra, tol: float = 1e-12) -> Automorphi
     if g.n != n or g.dim != 4 * n + 2:
         raise ValueError("algebra/params dimension mismatch")
     fld = field(params.exact)
-    f4 = params.f4(tol=tol)
+    f4 = params.f4()
     f1 = params.f1
     if f1 == 0:
         raise ValueError("f1 must be nonzero")
@@ -209,7 +209,7 @@ def assemble(params: AutParams, g: LieAlgebra, tol: float = 1e-12) -> Automorphi
     out[m + 2 * n, m + 2 * n] = f4
 
     defect = bracket_defect(out, g)
-    if not negligible(defect, tol, out, power=2):
+    if not negligible(defect, 1e-12, out, power=2):
         hint = ""
         if n >= 2 and any(x != 0 for x in u1):
             hint = " (u1 must vanish for n >= 2: the center-pairing constraints admit no nonzero solution)"
@@ -267,17 +267,14 @@ def random_conformal_symplectic(n: int, rng: np.random.Generator,
     return fld.scalar(int(rng.integers(1, 4))) / 2 * out
 
 
-def random_automorphism(n: int, g: LieAlgebra, seed: int | None = None,
-                        rng: np.random.Generator | None = None,
+def random_automorphism(n: int, g: LieAlgebra, rng: np.random.Generator,
                         exact: bool = False) -> Automorphism:
-    """Seeded random automorphism; exact=True draws rational block data.
+    """Random automorphism drawn from rng; exact=True draws rational block data.
 
     For n >= 2, u1 is always zero (no other value assembles).
     Float draws are rejected while cond(F) > 3e4 so that pullback metrics
     keep roughly nine significant digits through downstream reductions.
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
     fld = field(exact)
 
     def vec(free: bool):

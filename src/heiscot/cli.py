@@ -520,7 +520,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--n", type=int, default=None, help="Heisenberg parameter (default 1; 'all' sweeps 1..3)")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--json", action="store_true", dest="as_json")
-    ap.add_argument("--tol", type=float, default=1e-9, help="float-mode residual tolerance")
+    ap.add_argument("--tol", type=float, default=1e-9,
+                    help="float residual tolerance, read only by complex and curvature --metric")
     ap.add_argument("--metric", type=str, default=None, help="JSON metric file for the curvature verb")
     return ap
 
@@ -604,12 +605,14 @@ def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     for bad, msg in ((args.n is not None and args.n < 1, "--n must be >= 1"),
                      (args.seed < 0, "--seed must be >= 0"),
-                     (not 0 < args.tol < float("inf"), "--tol must be finite and > 0")):
+                     (not 0 < args.tol < float("inf"), "--tol must be finite and > 0"),
+                     (args.metric is not None and args.command != "curvature",
+                      "--metric is read only by the curvature verb")):
         if bad:
             print(f"error: {msg}", file=sys.stderr)
             return 2
     metric = None
-    if args.command == "curvature" and args.metric is not None:
+    if args.metric is not None:
         try:
             args.n, metric = _load_metric(args.metric, args.n)
         except BadInput as exc:

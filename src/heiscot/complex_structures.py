@@ -39,7 +39,7 @@ operator route on :class:`heiscot._exact.SparseQ`) and gives Fractions;
 float input contracts ``LieAlgebra.structure_tensor`` with numpy.
 
 Normalization itself runs in two tiers.  Members of the block family are
-recognized by pattern matching and normalized by a closed-form recipe that
+recognized by rebuilding and normalized by a closed-form recipe that
 is exact in rational mode.  Everything else goes through an adapted-basis
 construction: find a J-invariant complement V of the starred ideal, run a
 complex Gram-Schmidt against h to extract unit vectors, and rebuild the
@@ -99,25 +99,41 @@ class NotInFamily(ValueError):
     """Integrable input that cannot be conjugated to the reference structure."""
 
 
-def standard_complex_structure(n: int, exact: bool = False) -> np.ndarray:
-    """The reference complex structure J0 on T*h(2n+1).
+def signed_plane_member(n: int, signs, n2=1.0, exact: bool = False) -> np.ndarray:
+    """Rotate planes (e_i, f_i) and (e*_i, f*_i) by signs[i]; z -> n2 z*, z* -> -z/n2.
 
-    Rotates (e_i, f_i) and (e*_i, f*_i) by the standard symplectic matrix
-    and maps z -> z*, z* -> -z.  Entries are 0, +-1, so the exact and float
-    versions carry the same information.
+    The one layout of the block family: J0 and every family member are
+    built here.  Mixed signs (possible only for n >= 2) still give
+    J^2 = -Id and a vanishing Nijenhuis tensor, but the structure is not
+    conjugate to +-J0: the form h(u, v) = omega([Ju, v]) on span(e, f)
+    picks up both signs, and its signature is preserved by conjugation.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    signs = tuple(signs)
+    if len(signs) != n or any(s not in (1, -1) for s in signs):
+        raise ValueError("signs must be n entries of +-1")
+    if n2 == 0:
+        raise ValueError("n2 must be nonzero")
     d = 4 * n + 2
+    m = 2 * n + 1
     fld = field(exact)
-    jb = standard_symplectic(n, exact=exact)
     out = fld.zeros((d, d))
-    one = fld.scalar(1)
-    out[: 2 * n, : 2 * n] = jb
-    out[2 * n + 1 : 4 * n + 1, 2 * n + 1 : 4 * n + 1] = jb
-    out[2 * n, d - 1] = one
-    out[d - 1, 2 * n] = -one
+    n2 = fld.scalar(n2)
+    for i, s in enumerate(signs):
+        s = fld.scalar(s)
+        out[n + i, i] = s
+        out[i, n + i] = -s
+        out[m + n + i, m + i] = s
+        out[m + i, m + n + i] = -s
+    out[2 * n, d - 1] = n2
+    out[d - 1, 2 * n] = -(1 / n2)
     return out
+
+
+def standard_complex_structure(n: int, exact: bool = False) -> np.ndarray:
+    """The reference complex structure J0 on T*h(2n+1): all signs +1, n2 = 1; entries 0, +-1."""
+    return signed_plane_member(n, (1,) * n, 1, exact=exact)
 
 
 def almost_complex_defect(j: np.ndarray):
@@ -239,9 +255,9 @@ def integrability_report(j: np.ndarray, g: LieAlgebra, tol: float = 1e-10) -> di
     }
 
 
-def is_integrable(j: np.ndarray, g: LieAlgebra, tol: float = 1e-10) -> bool:
-    """True iff J^2 = -Id and the Nijenhuis tensor vanishes (both routes)."""
-    return integrability_report(j, g, tol=tol)["integrable"]
+def is_integrable(j: np.ndarray, g: LieAlgebra) -> bool:
+    """True iff J^2 = -Id and the Nijenhuis tensor vanishes (both routes, at 1e-10)."""
+    return integrability_report(j, g)["integrable"]
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +321,13 @@ class IntegrableFamily:
     def member(self, epsilon: int, n2, jbar3: np.ndarray | None = None,
                exact: bool = False) -> np.ndarray:
         n = self.n
-        d = 4 * n + 2
-        if epsilon not in (1, -1):
-            raise ValueError("epsilon must be +1 or -1")
-        if n2 == 0:
-            raise ValueError("n2 must be nonzero")
-        fld = field(exact)
-        n2 = fld.scalar(n2)
-        jb = standard_symplectic(n, exact=exact)
-        out = fld.zeros((d, d))
-        out[: 2 * n, : 2 * n] = epsilon * jb
-        out[2 * n + 1 : 4 * n + 1, 2 * n + 1 : 4 * n + 1] = epsilon * jb
-        out[2 * n, d - 1] = n2
-        out[d - 1, 2 * n] = -(1 / n2)
+        out = signed_plane_member(n, (epsilon,) * n, n2, exact=exact)
         if jbar3 is not None:
             jbar3 = np.asarray(jbar3)
             if jbar3.shape != (2 * n, 2 * n):
                 raise ValueError("jbar3 shape mismatch")
-            defect = maxabs(jbar3 @ jb + jb @ jbar3)
-            if not negligible(defect, 1e-10, jbar3):
+            jb = standard_symplectic(n, exact=exact)
+            if not negligible(maxabs(jbar3 @ jb + jb @ jbar3), 1e-10, jbar3):
                 raise ValueError("jbar3 must anticommute with the plane rotation")
             out[2 * n + 1 : 4 * n + 1, : 2 * n] = jbar3
         return out
@@ -345,36 +349,6 @@ def solve_integrable_family(n: int) -> IntegrableFamily:
     return IntegrableFamily(n=n)
 
 
-def signed_plane_member(n: int, signs, n2=1.0, exact: bool = False) -> np.ndarray:
-    """Rotate plane i by signs[i] on both groups; central corner as usual.
-
-    With all signs equal this is a family member.  Mixed signs (possible
-    only for n >= 2) still give J^2 = -Id and a vanishing Nijenhuis
-    tensor, but the structure is not conjugate to +-J0: the form
-    h(u, v) = omega([Ju, v]) on span(e, f) picks up both signs, and its
-    signature is preserved by conjugation.
-    """
-    signs = tuple(signs)
-    if len(signs) != n or any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be n entries of +-1")
-    if n2 == 0:
-        raise ValueError("n2 must be nonzero")
-    d = 4 * n + 2
-    m = 2 * n + 1
-    fld = field(exact)
-    out = fld.zeros((d, d))
-    n2 = fld.scalar(n2)
-    for i, s in enumerate(signs):
-        s = fld.scalar(s)
-        out[n + i, i] = s
-        out[i, n + i] = -s
-        out[m + n + i, m + i] = s
-        out[m + i, m + n + i] = -s
-    out[2 * n, d - 1] = n2
-    out[d - 1, 2 * n] = -(1 / n2)
-    return out
-
-
 def sign_reversing_automorphism(n: int, g: LieAlgebra) -> Automorphism:
     """Automorphism R with R^{-1} J0 R = -J0; an involution.
 
@@ -393,58 +367,37 @@ def sign_reversing_automorphism(n: int, g: LieAlgebra) -> Automorphism:
 # normalization
 
 
-def match_family(j: np.ndarray, n: int, tol: float = 1e-10) -> FamilyParams | None:
-    """Extract (epsilon, n2, jbar3) if J matches the family template, else None.
+def match_family(j: np.ndarray, n: int) -> FamilyParams | None:
+    """Extract (epsilon, n2, jbar3) if J is a member of the block family, else None.
 
-    Exact inputs are matched with exact zero tests; float inputs at
-    ``tol`` relative to max |J|.
+    The member named by the entries read off J is rebuilt and compared with
+    J in every entry: exactly for exact input, else within 1e-10 of max |J|.
     """
     j = np.asarray(j)
     d = 4 * n + 2
     m = 2 * n + 1
     if j.shape != (d, d):
         raise ValueError("matrix dimension mismatch")
-    fld = field_of(j)
-    jb = standard_symplectic(n, exact=fld.exact)
-
-    def iszero(block):
-        return negligible(maxabs(block), tol, j)
-
+    exact = _exact.is_exact(j)
     eps_entry = j[n, 0]
-    if negligible(eps_entry - 1, tol, j):
+    if negligible(eps_entry - 1, 1e-10, j):
         epsilon = 1
-    elif negligible(eps_entry + 1, tol, j):
+    elif negligible(eps_entry + 1, 1e-10, j):
         epsilon = -1
     else:
         return None
     n2 = j[2 * n, d - 1]
-    if negligible(n2, tol, j):
+    if negligible(n2, 1e-10, j):
         return None
-    checks = [
-        j[: 2 * n, : 2 * n] - epsilon * jb,
-        j[m : m + 2 * n, m : m + 2 * n] - epsilon * jb,
-        j[: 2 * n, 2 * n],                       # J z* has no (e, f) part
-        j[2 * n, : 2 * n],                       # J(e, f) has no z* part
-        _strip_corner(j[:m, m:]),                # upper-right is corner only
-        j[d - 1, : 2 * n],                       # z-row over (e, f)
-        j[m : m + 2 * n, 2 * n],                 # J z* has no starred part
-        np.asarray([j[d - 1, 2 * n] + fld.scalar(1) / n2]),
-        j[m : m + 2 * n, d - 1],                 # J z has only the z* component
-    ]
-    for block in checks:
-        if not iszero(block):
-            return None
     jbar3 = j[m : m + 2 * n, : 2 * n]
-    if not iszero(jbar3 @ jb + jb @ jbar3):
+    jb = standard_symplectic(n, exact=exact)
+    if not negligible(maxabs(jbar3 @ jb + jb @ jbar3), 1e-10, j):
+        return None
+    rebuilt = IntegrableFamily(n).member(epsilon, n2, exact=exact)
+    rebuilt[m : m + 2 * n, : 2 * n] = jbar3
+    if not negligible(maxabs(j - rebuilt), 1e-10, j):
         return None
     return FamilyParams(epsilon=epsilon, n2=n2, jbar3=jbar3.copy())
-
-
-def _strip_corner(block: np.ndarray) -> np.ndarray:
-    """Upper-right (2n+1) x (2n+1) block minus its corner entry, flattened."""
-    b = block.copy()
-    b[-1, -1] = b[-1, -1] * 0
-    return b.ravel()
 
 
 @dataclass(frozen=True)
@@ -657,7 +610,7 @@ def normalize_complex_structure(j: np.ndarray, g: LieAlgebra,
                                 tol: float = 1e-9) -> NormalizedComplexStructure:
     """Conjugate an integrable J to epsilon * J0 by an automorphism.
 
-    Family members are recognized by template match and normalized in
+    Family members are recognized by rebuilding and normalized in
     closed form (exact for rational input; epsilon is the member's sign).
     Any other integrable structure goes through the adapted-basis
     construction, which lands on +J0 whenever the structure lies in the
@@ -682,7 +635,7 @@ def normalize_complex_structure(j: np.ndarray, g: LieAlgebra,
             f"J^2 defect {float(report['almost_complex_defect']):.2e}, "
             f"Nijenhuis defect {float(report['pairwise_defect']):.2e}"
         )
-    params = match_family(j, g.n, tol=1e-10)
+    params = match_family(j, g.n)
     if params is not None:
         return _normalize_template(j, g, params)
     result = _normalize_adapted(j, g, tol)
@@ -704,9 +657,9 @@ def hermitian_defect(j: np.ndarray, s: np.ndarray):
     return congruence_defect(np.asarray(j), np.asarray(s), np.asarray(s))
 
 
-def is_hermitian(j: np.ndarray, s: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff S(J., J.) = S(., .) within tol (exact zero for object arrays)."""
-    return negligible(hermitian_defect(j, s), tol, s)
+def is_hermitian(j: np.ndarray, s: np.ndarray) -> bool:
+    """True iff S(J., J.) = S(., .), exactly for object arrays, else within 1e-10 of max |S|."""
+    return negligible(hermitian_defect(j, s), 1e-10, s)
 
 
 @dataclass(frozen=True)
@@ -769,21 +722,20 @@ def hermitian_metric_space(n: int) -> HermitianMetricSpace:
     return HermitianMetricSpace(n=n, particular=particular, directions=directions)
 
 
-def matches_hermitian_family(s: np.ndarray, n: int, tol: float = 1e-10) -> bool:
+def matches_hermitian_family(s: np.ndarray, n: int) -> bool:
     """Template metric lies in the J0-invariant family iff omega4 = 1 and
-    the starred block commutes with the plane rotation."""
+    the starred block commutes with the plane rotation (within 1e-10 of max |S|)."""
     s = np.asarray(s)
     d = 4 * n + 2
     m = 2 * n + 1
     jb = standard_symplectic(n, exact=_exact.is_exact(s))
     s4 = s[m : m + 2 * n, m : m + 2 * n]
     comm = maxabs(s4 @ jb - jb @ s4)
-    return negligible(comm, tol, s) and negligible(s[d - 1, d - 1] - 1, tol, s)
+    return negligible(comm, 1e-10, s) and negligible(s[d - 1, d - 1] - 1, 1e-10, s)
 
 
-def is_abelian_complex_structure(j: np.ndarray, g: LieAlgebra,
-                                 tol: float = 1e-10) -> tuple[bool, tuple | None]:
-    """Check [Jx, Jy] = [x, y] on basis pairs; returns (verdict, witness).
+def is_abelian_complex_structure(j: np.ndarray, g: LieAlgebra) -> tuple[bool, tuple | None]:
+    """Check [Jx, Jy] = [x, y] on basis pairs, within 1e-10 of max |J|^2; returns (verdict, witness).
 
     The witness is the first violating pair as basis names.  J0 fails with
     witness (z*, e_1): J0 sends that pair to (-z, f_1), which brackets to
@@ -796,6 +748,6 @@ def is_abelian_complex_structure(j: np.ndarray, g: LieAlgebra,
         for b in range(a + 1, d):
             lhs = g.bracket_basis(a, b, exact=exact)
             rhs = g.bracket(j[:, a], j[:, b])
-            if not negligible(maxabs(lhs - rhs), tol, j, power=2):
+            if not negligible(maxabs(lhs - rhs), 1e-10, j, power=2):
                 return False, (g.basis_names[a], g.basis_names[b])
     return True, None

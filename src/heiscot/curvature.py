@@ -218,18 +218,18 @@ def scalar_curvature(s: np.ndarray, ric: np.ndarray):
     return fld.scalar((fld.inv(s) * ric.T).sum())
 
 
-def signature(s: np.ndarray, tol: float = 1e-9) -> tuple[int, int, int]:
+def signature(s: np.ndarray) -> tuple[int, int, int]:
     """Inertia (n_plus, n_minus, n_zero) of a symmetric matrix.
 
     Exact input uses a rational LDL^T factorization, so zero really means
-    zero; float input counts eigenvalues against tol * max|eigenvalue|.
+    zero; float input counts eigenvalues against 1e-9 * max(1, max|eigenvalue|).
     """
     if is_exact(s):
         return ldl_inertia(s)
     w = np.linalg.eigvalsh(s)
     scale = max(np.abs(w).max(), 1.0)
-    pos = int((w > tol * scale).sum())
-    neg = int((w < -tol * scale).sum())
+    pos = int((w > 1e-9 * scale).sum())
+    neg = int((w < -1e-9 * scale).sum())
     return pos, neg, len(w) - pos - neg
 
 

@@ -159,8 +159,9 @@ def closure_defect(omega: np.ndarray, g: LieAlgebra):
     return fld.scalar(max((abs(acc) for *_, acc in triples), default=Fraction(0)))
 
 
-def is_closed(omega: np.ndarray, g: LieAlgebra, tol: float = 1e-10) -> bool:
-    return negligible(closure_defect(omega, g), tol, omega)
+def is_closed(omega: np.ndarray, g: LieAlgebra) -> bool:
+    """d Omega = 0: exactly for exact input, else within 1e-10 relative to max |Omega|."""
+    return negligible(closure_defect(omega, g), 1e-10, omega)
 
 
 def invariance_defect(omega: np.ndarray, j: np.ndarray):
@@ -169,9 +170,10 @@ def invariance_defect(omega: np.ndarray, j: np.ndarray):
     return hermitian_defect(j, omega)
 
 
-def j_invariant(omega: np.ndarray, j: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff Omega(Jx, Jy) = Omega(x, y) within tol (exact zero for object input)."""
-    return negligible(invariance_defect(omega, j), tol, omega)
+def j_invariant(omega: np.ndarray, j: np.ndarray) -> bool:
+    """True iff Omega(Jx, Jy) = Omega(x, y) within 1e-10 relative to max |Omega|
+    (exact zero for object input)."""
+    return negligible(invariance_defect(omega, j), 1e-10, omega)
 
 
 def closed_invariant_space(n: int) -> list[np.ndarray]:
@@ -363,22 +365,24 @@ def extract_omega_params(omega: np.ndarray, n: int) -> OmegaParams:
                        c1=c1, c2=c2, exact=fld.exact)
 
 
-def matches_omega_template(omega: np.ndarray, n: int, tol: float = 1e-10) -> bool:
-    """True when the form is an instance of the closed invariant template."""
+def matches_omega_template(omega: np.ndarray, n: int) -> bool:
+    """True when the form equals its rebuilt template instance, within 1e-10
+    relative to max |Omega| (exactly for exact input)."""
     try:
         rebuilt = build_omega(extract_omega_params(omega, n))
     except (ValueError, AssertionError):
         return False
-    return negligible(maxabs(omega - rebuilt), tol, omega)
+    return negligible(maxabs(omega - rebuilt), 1e-10, omega)
 
 
-def is_nondegenerate(omega: np.ndarray, tol: float = 1e-12) -> bool:
-    """Nonzero determinant; exact when the input is rational."""
+def is_nondegenerate(omega: np.ndarray) -> bool:
+    """Nonzero determinant; exact when the input is rational, else the smallest
+    singular value must exceed 1e-12 * max(1, largest)."""
     omega = np.asarray(omega)
     if _exact.is_exact(omega):
         return _exact.det(omega) != 0
     sv = np.linalg.svd(omega, compute_uv=False)
-    return sv[-1] > tol * max(1.0, sv[0])
+    return sv[-1] > 1e-12 * max(1.0, sv[0])
 
 
 def pseudo_kahler_metric(omega: np.ndarray, n: int) -> np.ndarray:

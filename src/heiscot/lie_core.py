@@ -303,8 +303,8 @@ def cotangent_reorder_permutation(n: int) -> list[int]:
     return perm
 
 
-def relabel(g: LieAlgebra, perm: list[int], names: tuple | None = None) -> LieAlgebra:
-    """Reindex basis vectors: new index of old b_i is perm[i]."""
+def relabel(g: LieAlgebra, perm: list[int]) -> LieAlgebra:
+    """Reindex basis vectors: new index of old b_i is perm[i]; names move along."""
     merged: dict = {}
     for (i, j, k, v) in g.constants:
         a, b, c = perm[i], perm[j], perm[k]
@@ -312,12 +312,10 @@ def relabel(g: LieAlgebra, perm: list[int], names: tuple | None = None) -> LieAl
             a, b, v = b, a, -v
         merged[(a, b, c)] = merged.get((a, b, c), Fraction(0)) + v
     out = tuple((i, j, k, v) for (i, j, k), v in sorted(merged.items()) if v)
-    if names is None:
-        names = [None] * g.dim
-        for i, s in enumerate(g.basis_names):
-            names[perm[i]] = s
-        names = tuple(names)
-    return LieAlgebra(dim=g.dim, constants=out, basis_names=names, n=g.n)
+    names = [None] * g.dim
+    for i, s in enumerate(g.basis_names):
+        names[perm[i]] = s
+    return LieAlgebra(dim=g.dim, constants=out, basis_names=tuple(names), n=g.n)
 
 
 def standard_symplectic(n: int, exact: bool = False) -> np.ndarray:

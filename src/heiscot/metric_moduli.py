@@ -359,8 +359,7 @@ def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
     )
 
 
-def reduce_to_canonical(s: np.ndarray, g: LieAlgebra, tol: float = 1e-6
-                        ) -> tuple[CanonicalMetric, Automorphism]:
+def reduce_to_canonical(s: np.ndarray, g: LieAlgebra) -> tuple[CanonicalMetric, Automorphism]:
     """Full reduction to the diagonal template.
 
     Raises
@@ -368,16 +367,16 @@ def reduce_to_canonical(s: np.ndarray, g: LieAlgebra, tol: float = 1e-6
     NonPositiveDefinite
         If s is not symmetric positive definite.
     ToleranceFailure
-        If the residual against the reconstructed template exceeds tol
-        (default 1e-6).  For n >= 2 this is the generic outcome: the
-        center-pairing vector t4 is invariant under the whole group and
-        the template has no slot for it.  The exception carries the
+        If the residual against the reconstructed template exceeds 1e-6.
+        For n >= 2 this is the generic outcome: the center-pairing vector
+        t4 is invariant under the whole group and the template has no slot
+        for it.  The exception carries the
         partial ReductionResult.
     """
     result = reduce_with_diagnostics(s, g)
-    if result.residual > tol:
+    if result.residual > 1e-6:
         raise ToleranceFailure(
-            f"residual {result.residual:.3e} exceeds {tol:.1e}; "
+            f"residual {result.residual:.3e} exceeds 1.0e-06; "
             f"center-pairing |t4| = {np.abs(result.t4).max():.3e} "
             "cannot be removed by the automorphism group for n >= 2",
             result=result,
@@ -513,8 +512,11 @@ def _residual_group_matches(r1: ReductionResult, r2: ReductionResult, g: LieAlge
     return None
 
 
-def are_equivalent(s1: np.ndarray, s2: np.ndarray, g: LieAlgebra,
-                   tol: float = 1e-6) -> EquivalenceResult:
+# relative tolerance of are_equivalent's sigma comparison and data alignment
+_EQUIV_TOL = 1e-6
+
+
+def are_equivalent(s1: np.ndarray, s2: np.ndarray, g: LieAlgebra) -> EquivalenceResult:
     """Decide whether two positive-definite metrics lie on the same orbit.
 
     The sigma multiset is a complete scale-normalized invariant of the
@@ -536,17 +538,17 @@ def are_equivalent(s1: np.ndarray, s2: np.ndarray, g: LieAlgebra,
     sig1 = np.array(r1.sigma)
     sig2 = np.array(r2.sigma)
     detail = {"sigma1": r1.sigma, "sigma2": r2.sigma}
-    if np.abs(sig1 - sig2).max() > tol * max(1.0, sig1.max(), sig2.max()):
+    if np.abs(sig1 - sig2).max() > _EQUIV_TOL * max(1.0, sig1.max(), sig2.max()):
         return EquivalenceResult("distinct", None, detail)
     gaps = np.abs(np.diff(sig1))
     repeated = bool(n > 1 and gaps.size and gaps.min() < 1e-9 * max(1.0, sig1.max()))
     detail["repeated_sigma"] = repeated
-    rot = _residual_group_matches(r1, r2, g, tol)
+    rot = _residual_group_matches(r1, r2, g, _EQUIV_TOL)
     if rot is not None:
         w_mat = r1.automorphism.matrix @ rot.matrix @ np.linalg.inv(r2.automorphism.matrix)
         witness = Automorphism(matrix=w_mat, n=n)
         if is_automorphism(w_mat, g, tol=1e-9) and \
-                np.abs(act(witness, s1) - s2).max() <= 10 * tol * max(1.0, np.abs(s2).max()):
+                np.abs(act(witness, s1) - s2).max() <= 10 * _EQUIV_TOL * max(1.0, np.abs(s2).max()):
             return EquivalenceResult("equivalent", witness, detail)
     reached = all(r.residual <= 1e-9 * max(1.0, np.abs(s).max()) for r, s in ((r1, s1), (r2, s2)))
     if repeated or n >= 2 or not reached:

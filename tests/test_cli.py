@@ -32,6 +32,9 @@ def test_n0_is_a_validation_error(capsys):
     ["complex", "--tol", "inf"],
     ["complex", "--tol", "-1"],
     ["complex", "--tol", "0"],
+    # --metric is read only by curvature; every other verb rejects it unopened
+    *([verb, "--metric", "/nonexistent.json"]
+      for verb in ("algebra", "aut", "reduce", "equiv", "adinv", "complex", "kahler", "all")),
 ])
 def test_bad_seed_or_tol_is_a_validation_error(capsys, argv):
     assert run(argv) == 2

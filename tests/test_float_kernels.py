@@ -87,7 +87,7 @@ def test_kronecker_complement_system_equals_row_loop(n):
 
 
 def _conjugate(jm, g, seed):
-    f = random_automorphism(g.n, g, seed=seed, exact=False).matrix
+    f = random_automorphism(g.n, g, rng=np.random.default_rng(seed), exact=False).matrix
     return np.linalg.solve(f, np.asarray(jm, dtype=float) @ f)
 
 
