@@ -5,8 +5,11 @@ Usage (from the repository root)::
     python scripts/bench_kernels.py [--parent DIR] [--out FILE]
 
 Each kernel is timed with ``time.perf_counter`` on fixed seeded inputs,
-best of ``REPEAT`` calls (so caches that live as long as the algebra are
-warm), for every n in ``NS``:
+for every n in ``NS``.  One sample calls the kernel until it has run for
+``MIN_SAMPLE_S`` seconds (at least once) and records the time per call,
+so that a sub-millisecond kernel is not timed below the host's drift;
+the best of ``REPEAT`` samples is kept (caches that live as long as the
+algebra are then warm).  The kernels:
 
 * ``integrability_report`` on a rational family member (exact) and on an
   automorphism conjugate of a float family member (float);
@@ -60,6 +63,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 REPEAT = 3
 ROUNDS = 3
+MIN_SAMPLE_S = 0.05
 NS = (1, 2, 3, 4, 5)
 KERNELS = ("integrability_report_exact", "integrability_report_float", "bracket_defect_float",
            "hermitian_metric_space", "hermitian_defect_exact", "inv_exact", "det_exact",
@@ -124,9 +128,12 @@ def _worker():
     def best(fn):
         times = []
         for _ in range(REPEAT):
+            calls = 0
             t0 = perf_counter()
-            fn()
-            times.append(perf_counter() - t0)
+            while (elapsed := perf_counter() - t0) < MIN_SAMPLE_S or not calls:
+                fn()
+                calls += 1
+            times.append(elapsed / calls)
         return round(1000 * min(times), 4)
 
     out = {k: {} for k in KERNELS}
@@ -186,7 +193,8 @@ def main():
     import numpy as np
 
     load_before = os.getloadavg()
-    result = {"what": f"kernel wall time in ms, best of {REPEAT}, per n"}
+    result = {"what": f"kernel wall time in ms per call, best of {REPEAT} samples "
+                      f"of at least {MIN_SAMPLE_S} s, per n"}
     if args.parent is None:
         result["change"] = _run(ROOT / "src")
     else:
@@ -198,7 +206,7 @@ def main():
                 runs[side].append(_run(srcs[side]))
         result["change"] = _best_of(runs["change"])
         result["parent"] = _best_of(runs["parent"])
-        result["speedup"] = {k: {n: round(result["parent"][k][n] / result["change"][k][n], 1)
+        result["speedup"] = {k: {n: round(result["parent"][k][n] / result["change"][k][n], 2)
                                  for n in result["change"][k]} for k in KERNELS}
     result["machine"] = {
         "nproc": os.cpu_count(),

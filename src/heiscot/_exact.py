@@ -41,7 +41,10 @@ of two field objects, :data:`EXACT` over Fraction object arrays and
 ``scalar`` and ``array`` coercion, ``inv`` and ``solve``.  Every zero test
 goes through :func:`negligible`, which also owns the tolerance scale: an
 exact defect must be exactly zero and its operands are never sized; a
-float one must lie within ``tol`` times the size of its operands.
+float one must lie within ``tol`` times the size of its operands.  Outside
+it stay only tests of another kind: SVD rank and condition cutoffs, strict
+absolute floors, ``signature``, ``is_automorphism``'s determinant floor,
+the residual-group search's vectorized bound and ``curvature.is_flat``.
 """
 
 from __future__ import annotations
@@ -181,6 +184,7 @@ def negligible(defect, tol: float, *operands, power: int = 1) -> bool:
     satisfy ``abs(float(defect)) <= tol * scale`` (which a NaN fails), with
     ``scale = max(1, max |entry| of each operand) ** power``: the size of
     the arrays the defect was computed from, to the degree it grows with them.
+    A guard ``if not negligible(...): raise`` therefore raises on NaN.
     """
     if isinstance(defect, numbers.Rational):
         return defect == 0

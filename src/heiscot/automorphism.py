@@ -90,10 +90,6 @@ class Automorphism:
     n: int
     params: AutParams | None = None
 
-    @property
-    def exact(self) -> bool:
-        return _exact.is_exact(self.matrix)
-
     def inverse(self) -> "Automorphism":
         return Automorphism(matrix=field_of(self.matrix).inv(self.matrix), n=self.n)
 

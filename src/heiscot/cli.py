@@ -22,11 +22,12 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from . import _exact
-from ._exact import maxabs
+from ._exact import maxabs, negligible
 from .adinvariant import (
     ad_invariant_solution_space,
     ad_invariance_defect,
@@ -111,7 +112,7 @@ def _check(name: str, ok: bool, detail: str = "") -> Check:
 # verb implementations
 
 
-def _algebra_checks(n: int, seed: int, tol: float) -> list[Check]:
+def _algebra_checks(n: int, seed: int) -> list[Check]:
     g = build_thn(n)
     out = [
         _check("jacobi_identity", g.jacobi_defect() == 0, "exact"),
@@ -147,7 +148,7 @@ def _algebra_checks(n: int, seed: int, tol: float) -> list[Check]:
     return out
 
 
-def _aut_checks(n: int, seed: int, tol: float) -> list[Check]:
+def _aut_checks(n: int, seed: int) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
     samples = [random_automorphism(n, g, rng=rng, exact=True) for _ in range(5)]
@@ -186,7 +187,7 @@ def _aut_checks(n: int, seed: int, tol: float) -> list[Check]:
     return out
 
 
-def _reduce_checks(n: int, seed: int, tol: float) -> list[Check]:
+def _reduce_checks(n: int, seed: int) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
     trials = 15
@@ -197,20 +198,19 @@ def _reduce_checks(n: int, seed: int, tol: float) -> list[Check]:
         r = reduce_with_diagnostics(s, g)
         c = r.canonical
         sig = np.array(c.sigma)
-        if (np.diff(sig) <= 1e-9).all() and abs(sig[-1] - 1.0) <= 1e-9 \
-                and c.omega4 > 0 and c.template_zero_defect() <= 1e-9:
+        if (np.diff(sig) <= 1e-9).all() and negligible(sig[-1] - 1.0, 1e-9) \
+                and c.omega4 > 0 and negligible(c.template_zero_defect(), 1e-9):
             sigma_ok += 1
         if is_automorphism(r.automorphism.matrix, g, tol=1e-12):
             aut_ok += 1
-        scale = max(1.0, np.abs(s).max())
-        if r.residual <= 1e-9 * scale:
+        if negligible(r.residual, 1e-9, s):
             template_ok += 1
         # residual away from the center-pairing slots must always vanish
         diff = np.abs(r.reduced - c.matrix())
         m = 2 * n + 1
         diff[m : m + 2 * n, 4 * n + 1] = 0.0
         diff[4 * n + 1, m : m + 2 * n] = 0.0
-        if diff.max() <= 1e-8 * scale:
+        if negligible(diff.max(), 1e-8, s):
             removable_ok += 1
         worst_t4 = max(worst_t4, float(np.abs(r.t4).max()))
     out = [
@@ -230,7 +230,7 @@ def _reduce_checks(n: int, seed: int, tol: float) -> list[Check]:
     return out
 
 
-def _equiv_checks(n: int, seed: int, tol: float) -> list[Check]:
+def _equiv_checks(n: int, seed: int) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
     trials = 6
@@ -241,7 +241,7 @@ def _equiv_checks(n: int, seed: int, tol: float) -> list[Check]:
         f = random_automorphism(n, g, rng=rng, exact=False)
         res = are_equivalent(s, act(f, s), g)
         sigma1, sigma2 = res.detail["sigma1"], res.detail["sigma2"]
-        if np.abs(np.array(sigma1) - np.array(sigma2)).max() <= 1e-6 * max(1.0, max(sigma1)):
+        if negligible(maxabs(np.array(sigma1) - np.array(sigma2)), 1e-6, sigma1):
             sig_ok += 1
         verdicts.append(res.verdict)
     out = [_check("sigma_multiset_invariant", sig_ok == trials, f"{sig_ok}/{trials}")]
@@ -271,7 +271,7 @@ def _equiv_checks(n: int, seed: int, tol: float) -> list[Check]:
     return out
 
 
-def _adinv_checks(n: int, seed: int, tol: float) -> list[Check]:
+def _adinv_checks(n: int, seed: int) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
     basis = ad_invariant_solution_space(g)
@@ -319,8 +319,7 @@ def _complex_checks(n: int, seed: int, tol: float) -> list[Check]:
         if is_integrable(j, g):
             fam_ok += 1
         res = normalize_complex_structure(j, g, tol=tol)
-        scale = max(1.0, np.abs(j).max())
-        if float(res.residual) <= tol * scale:
+        if negligible(float(res.residual), tol, j):
             norm_ok += 1
             hist[res.epsilon] += 1
     out.append(_check("family_ok", fam_ok == trials, f"{fam_ok}/{trials} members integrable"))
@@ -336,7 +335,7 @@ def _complex_checks(n: int, seed: int, tol: float) -> list[Check]:
         jc = np.linalg.solve(f.matrix, np.asarray(j) @ f.matrix)
         try:
             res = normalize_complex_structure(jc, g, tol=tol)
-            if float(res.residual) <= tol * max(1.0, np.abs(jc).max()):
+            if negligible(float(res.residual), tol, jc):
                 conj_ok += 1
         except NotInFamily:
             pass
@@ -371,7 +370,7 @@ def _complex_checks(n: int, seed: int, tol: float) -> list[Check]:
     return out
 
 
-def _kahler_checks(n: int, seed: int, tol: float) -> list[Check]:
+def _kahler_checks(n: int, seed: int) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
     space = closed_invariant_space(n)
@@ -421,31 +420,30 @@ def _kahler_checks(n: int, seed: int, tol: float) -> list[Check]:
     return out
 
 
-def _curvature_checks(n: int, seed: int, tol: float,
-                      metric: np.ndarray | None = None) -> list[Check]:
+def _metric_checks(n: int, s: np.ndarray, tol: float) -> list[Check]:
+    """The curvature checks of a metric read from a file (``curvature --metric``)."""
+    g = build_thn(n)
+    gam = levi_civita(g, s)
+    rt = riemann(g, gam)
+    out = [
+        _check("connection_ok",
+               negligible(torsion_defect(g, gam), tol, s)
+               and negligible(compatibility_defect(g, s, gam), tol, s),
+               "torsion-free and metric"),
+        _check("bianchi_ok",
+               negligible(first_bianchi_defect(rt), tol, s)
+               and negligible(second_bianchi_defect(g, gam, rt), tol, s, power=2),
+               "first and second identities"),
+    ]
+    out.append(Check("ricci", "pass", f"max |ric| = {np.abs(ricci_from_riemann(rt)).max():.3e}"))
+    out.append(Check("signature", "pass", str(signature(s))))
+    out.append(Check("flat", "pass", str(is_flat(rt))))
+    return out
+
+
+def _curvature_checks(n: int, seed: int) -> list[Check]:
     g = build_thn(n)
     rng = np.random.default_rng(seed)
-    if metric is not None:
-        s = metric
-        gam = levi_civita(g, s)
-        rt = riemann(g, gam)
-        scale = max(1.0, np.abs(s).max())
-        out = [
-            _check("connection_ok",
-                   torsion_defect(g, gam) <= tol * scale
-                   and compatibility_defect(g, s, gam) <= tol * scale,
-                   "torsion-free and metric"),
-            _check("bianchi_ok",
-                   first_bianchi_defect(rt) <= tol * scale
-                   and second_bianchi_defect(g, gam, rt) <= tol * scale ** 2,
-                   "first and second identities"),
-        ]
-        ric = ricci_from_riemann(rt)
-        out.append(Check("ricci", "pass", f"max |ric| = {np.abs(ric).max():.3e}"))
-        out.append(Check("signature", "pass", str(signature(s))))
-        out.append(Check("flat", "pass", str(is_flat(rt))))
-        return out
-
     d = g.dim
     ident = np.eye(d)
     gam = levi_civita(g, ident)
@@ -474,23 +472,23 @@ def _curvature_checks(n: int, seed: int, tol: float,
     s = random_positive_definite(g, rng)
     gam = levi_civita(g, s)
     rt = riemann(g, gam)
-    scale = max(1.0, np.abs(s).max())
     out.append(_check(
         "connection_invariants",
-        torsion_defect(g, gam) <= 1e-9 * scale and compatibility_defect(g, s, gam) <= 1e-9 * scale,
+        negligible(torsion_defect(g, gam), 1e-9, s)
+        and negligible(compatibility_defect(g, s, gam), 1e-9, s),
         "random metric: torsion-free and metric-compatible",
     ))
     out.append(_check(
         "bianchi_identities",
-        first_bianchi_defect(rt) <= 1e-8 * scale and second_bianchi_defect(g, gam, rt) <= 1e-7 * scale ** 2,
+        negligible(first_bianchi_defect(rt), 1e-8, s)
+        and negligible(second_bianchi_defect(g, gam, rt), 1e-7, s, power=2),
         "",
     ))
-    r1 = ricci_from_riemann(rt)
-    r2 = ricci_nilpotent_formula(g, s)
+    routes_gap = maxabs(ricci_from_riemann(rt) - ricci_nilpotent_formula(g, s))
     out.append(_check(
         "ricci_routes_agree",
-        np.abs(r1 - r2).max() <= 1e-8 * scale ** 2,
-        f"max difference {np.abs(r1 - r2).max():.2e}",
+        negligible(routes_gap, 1e-8, s, power=2),
+        f"max difference {routes_gap:.2e}",
     ))
     p = pairing_metric(n, exact=True)
     out.append(_check("pairing_signature_neutral",
@@ -561,20 +559,16 @@ def _load_metric(path: str, n: int | None) -> tuple[int, np.ndarray]:
         raise BadInput(f"metric matrix has shape {s.shape}, expected {(d, d)} for n = {n}")
     if not np.isfinite(s).all():
         raise BadInput("metric matrix has non-finite entries")
-    if np.abs(s - s.T).max() > 1e-12 * max(1.0, np.abs(s).max()):
+    if not negligible(maxabs(s - s.T), 1e-12, s):
         raise BadInput("metric matrix is not symmetric")
     if np.linalg.matrix_rank(s) < d:
         raise BadInput("metric matrix is singular")
     return n, s
 
 
-def _run_verb(verb: str, n: int, seed: int, tol: float,
-              metric: np.ndarray | None) -> dict:
+def _run_verb(verb: str, checks_of, n: int, seed: int) -> dict:
     t0 = time.perf_counter()
-    if verb == "curvature":
-        checks = _curvature_checks(n, seed, tol, metric=metric)
-    else:
-        checks = _VERBS[verb](n, seed, tol)
+    checks = checks_of(n, seed)
     elapsed = int(1000 * (time.perf_counter() - t0))
     return {
         "command": verb,
@@ -611,20 +605,20 @@ def run(argv: list[str] | None = None) -> int:
         if bad:
             print(f"error: {msg}", file=sys.stderr)
             return 2
-    metric = None
+    verbs = dict(_VERBS, complex=partial(_complex_checks, tol=args.tol))
     if args.metric is not None:
         try:
             args.n, metric = _load_metric(args.metric, args.n)
         except BadInput as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        verbs["curvature"] = lambda n, seed: _metric_checks(n, metric, args.tol)
     if args.command == "all":
         ns = [args.n] if args.n is not None else [1, 2, 3]
-        reports = [_run_verb(v, n, args.seed, args.tol, None)
-                   for n in ns for v in _VERBS]
+        reports = [_run_verb(v, verbs[v], n, args.seed) for n in ns for v in verbs]
     else:
         n = args.n if args.n is not None else 1
-        reports = [_run_verb(args.command, n, args.seed, args.tol, metric)]
+        reports = [_run_verb(args.command, verbs[args.command], n, args.seed)]
     if args.as_json:
         payload = reports[0] if len(reports) == 1 else reports
         print(json.dumps(payload, indent=2, default=str))

@@ -414,10 +414,6 @@ class NormalizedComplexStructure:
     residual: object
     route: str
 
-    @property
-    def exact(self) -> bool:
-        return _exact.is_exact(self.matrix)
-
 
 def _normalize_template(j: np.ndarray, g: LieAlgebra,
                         params: FamilyParams) -> NormalizedComplexStructure:
@@ -498,8 +494,8 @@ def _invariant_complement(jm: np.ndarray, g: LieAlgebra, tol: float):
     vec = np.concatenate([c.ravel(), svec])
     # numpy's lstsq cutoff (rcond=None); gelsy's default eps keeps noise directions
     sol = lstsq(mat, vec, cond=np.finfo(float).eps * max(mat.shape), lapack_driver="gelsy")[0]
-    resid = np.abs(mat @ sol - vec).max()
-    if resid > 1e-7 * max(1.0, np.abs(vec).max()):
+    resid = maxabs(mat @ sol - vec)
+    if not negligible(resid, 1e-7, vec):
         raise NotInFamily(f"invariant-complement system is inconsistent ({resid:.2e})")
     phi = sol.reshape(m, 2 * n)
     v = np.zeros((d, 2 * n))
@@ -571,8 +567,8 @@ def _normalize_adapted(jm: np.ndarray, g: LieAlgebra, tol: float) -> NormalizedC
     m = 2 * n + 1
     v = _invariant_complement(jm, g, tol)
     coef, _, _, _ = np.linalg.lstsq(v, jm @ v, rcond=None)
-    inv_defect = np.abs(v @ coef - jm @ v).max()
-    if inv_defect > 1e-7 * max(1.0, np.abs(v).max()):
+    inv_defect = maxabs(v @ coef - jm @ v)
+    if not negligible(inv_defect, 1e-7, v):
         raise NotInFamily(f"complement drifts under J ({inv_defect:.2e})")
     units = _unit_vectors(jm, v, g)
     es = units
@@ -596,7 +592,7 @@ def _normalize_adapted(jm: np.ndarray, g: LieAlgebra, tol: float) -> NormalizedC
     fm[:, 2 * n] = zsp
     fm[:, d - 1] = zp
     colns = np.linalg.norm(fm, axis=0)
-    if colns.min() < 1e-13 * max(1.0, colns.max()):
+    if negligible(colns.min(), 1e-13, colns):
         raise NotInFamily("assembled basis degenerates")
     sv = np.linalg.svd(fm / colns, compute_uv=False)
     if sv[-1] < 1e-9 * sv[0]:
@@ -639,9 +635,8 @@ def normalize_complex_structure(j: np.ndarray, g: LieAlgebra,
     if params is not None:
         return _normalize_template(j, g, params)
     result = _normalize_adapted(j, g, tol)
-    scale = max(1.0, float(maxabs(j)))
-    if float(result.residual) > tol * scale:
-        raise NotInFamily(f"normalization residual {float(result.residual):.2e} at scale {scale:.1e}")
+    if not negligible(float(result.residual), tol, j):
+        raise NotInFamily(f"normalization residual {float(result.residual):.2e}")
     if not is_automorphism(result.matrix, g, tol=1e-8):
         raise NotInFamily("assembled change of basis fails bracket preservation")
     return result

@@ -217,8 +217,7 @@ class OmegaParams:
     a1 : (n, n) antisymmetric, the e-e / f-f pair coefficients.
     a2 : (n, n) symmetric, the e-f coefficients.
     k : (n, n) antisymmetric cross coupling into the starred group.
-    d : (n, n) symmetric cross coupling; a plain length-n vector is
-        accepted and promoted to its diagonal matrix.
+    d : (n, n) symmetric cross coupling.
     mu : scalar weight of the pairing-shaped part.
     c1, c2 : the two extra coefficients, meaningful only for n = 1.
     """
@@ -239,13 +238,7 @@ class OmegaParams:
         a1 = _coerce_block(self.a1, (n, n), fld)
         a2 = _coerce_block(self.a2, (n, n), fld)
         k = _coerce_block(self.k, (n, n), fld)
-        dm = self.d
-        if dm is not None and np.asarray(dm).ndim == 1:
-            vec = np.asarray(dm)
-            dm = fld.zeros((n, n))
-            for i in range(n):
-                dm[i, i] = vec[i]
-        dm = _coerce_block(dm, (n, n), fld)
+        dm = _coerce_block(self.d, (n, n), fld)
         for name, b, sym in (("a1", a1, -1), ("a2", a2, 1), ("k", k, -1), ("d", dm, 1)):
             if not negligible(maxabs(b - sym * b.T), 1e-12, b):
                 kind = "antisymmetric" if sym < 0 else "symmetric"
@@ -278,6 +271,36 @@ def random_omega_params(n: int, rng: np.random.Generator) -> OmegaParams:
     )
 
 
+def _slots(n: int):
+    """The template layout: each (name, index, (a, b), coef) puts
+    coef * name[index] at Omega[a, b] and its negative at Omega[b, a].
+
+    ``index`` is () for the scalars mu, c1 and c2.  The slots are distinct
+    entries above the diagonal; each parameter's first slot has coef 1 and
+    is the one :func:`extract_omega_params` reads the parameter from.
+    """
+    e, f, zs, es, fs, z = 0, n, 2 * n, 2 * n + 1, 3 * n + 1, 4 * n + 1
+    yield "mu", (), (zs, z), 1
+    for i, (x, xs) in itertools.product(range(n), ((e, es), (f, fs))):
+        yield "mu", (), (x + i, xs + i), Fraction(-1, 2)
+    for i, j in itertools.product(range(n), repeat=2):
+        if i <= j:
+            yield "a2", (i, j), (e + i, f + j), 1
+        if i < j:
+            yield "a2", (i, j), (e + j, f + i), 1
+            for x, xs in ((e, es), (f, fs)):
+                yield "a1", (i, j), (x + i, x + j), 1
+                yield "k", (i, j), (x + i, xs + j), 1
+                yield "k", (i, j), (x + j, xs + i), -1
+        yield "d", (i, j), (e + i, fs + j), 1
+        yield "d", (i, j), (f + i, es + j), -1
+    if n == 1:
+        yield "c1", (), (e, zs), 1
+        yield "c1", (), (f, z), -1
+        yield "c2", (), (f, zs), 1
+        yield "c2", (), (e, z), 1
+
+
 def build_omega(params: OmegaParams) -> np.ndarray:
     """Assemble the 2-form of the template and verify it on construction.
 
@@ -286,46 +309,14 @@ def build_omega(params: OmegaParams) -> np.ndarray:
     """
     n = params.n
     g = build_thn(n)
-    d = g.dim
     fld = field(params.exact)
-    a1, a2, k, dm = params.blocks()
-    out = fld.zeros((d, d))
-    e = list(range(n))
-    f = list(range(n, 2 * n))
-    zs = 2 * n
-    es = list(range(2 * n + 1, 3 * n + 1))
-    fs = list(range(3 * n + 1, 4 * n + 1))
-    z = 4 * n + 1
-
-    def w(a, b, v):
+    values = dict(zip(("a1", "a2", "k", "d"), params.blocks()),
+                  mu=params.mu, c1=params.c1, c2=params.c2)
+    out = fld.zeros((g.dim, g.dim))
+    for name, index, (a, b), coef in _slots(n):
+        v = coef * (values[name][index] if index else values[name])
         out[a, b] += v
         out[b, a] -= v
-
-    half = fld.scalar(1) / 2
-    for i in range(n):
-        for j in range(n):
-            if i < j:
-                w(e[i], e[j], a1[i, j])
-                w(f[i], f[j], a1[i, j])
-                w(e[i], es[j], k[i, j])
-                w(e[j], es[i], -k[i, j])
-                w(f[i], fs[j], k[i, j])
-                w(f[j], fs[i], -k[i, j])
-            if i <= j:
-                w(e[i], f[j], a2[i, j])
-                if i < j:
-                    w(e[j], f[i], a2[i, j])
-            w(e[i], fs[j], dm[i, j])
-            w(f[i], es[j], -dm[i, j])
-    for i in range(n):
-        w(e[i], es[i], -params.mu * half)
-        w(f[i], fs[i], -params.mu * half)
-    w(zs, z, params.mu)
-    if n == 1:
-        w(e[0], zs, params.c1)
-        w(f[0], z, -params.c1)
-        w(f[0], zs, params.c2)
-        w(e[0], z, params.c2)
     j0 = standard_complex_structure(n, exact=fld.exact)
     assert negligible(closure_defect(out, g), 1e-10, out)
     assert negligible(invariance_defect(out, j0), 1e-10, out)
@@ -335,34 +326,25 @@ def build_omega(params: OmegaParams) -> np.ndarray:
 def extract_omega_params(omega: np.ndarray, n: int) -> OmegaParams:
     """Read the template coefficients back off a 2-form matrix.
 
-    Inverts the slot layout of :func:`build_omega`; the result only
-    reproduces ``omega`` when the form actually lies in the closed
-    invariant space.  Raises ValueError when the designated slots carry
-    data of the wrong symmetry type.
+    Inverts the slot layout of :func:`build_omega`: each parameter is read
+    from its first slot, a1 and k are completed as antisymmetric and a2 as
+    symmetric matrices.  The result only reproduces ``omega`` when the form
+    actually lies in the closed invariant space.
     """
     fld = field_of(omega)
-    zero = fld.scalar(0)
-    a1 = fld.zeros((n, n))
-    a2 = fld.zeros((n, n))
-    k = fld.zeros((n, n))
-    dm = fld.zeros((n, n))
-    zs = 2 * n
-    z = 4 * n + 1
-    es = 2 * n + 1
-    fs = 3 * n + 1
-    for i in range(n):
-        for j in range(n):
-            dm[i, j] = omega[i, fs + j]
-            if i < j:
-                a1[i, j] = omega[i, j]
-                a1[j, i] = -a1[i, j]
-                k[i, j] = omega[i, es + j]
-                k[j, i] = -k[i, j]
-            a2[i, j] = omega[i, n + j] if i <= j else omega[j, n + i]
-    c1 = omega[0, zs] if n == 1 else zero
-    c2 = omega[n, zs] if n == 1 else zero
-    return OmegaParams(n=n, a1=a1, a2=a2, k=k, d=dm, mu=omega[zs, z],
-                       c1=c1, c2=c2, exact=fld.exact)
+    values = {name: fld.zeros((n, n)) for name in ("a1", "a2", "k", "d")}
+    values.update(mu=fld.scalar(0), c1=fld.scalar(0), c2=fld.scalar(0))
+    # in reverse, so that each parameter is written from its first slot last
+    for name, index, ab, _ in reversed(list(_slots(n))):
+        if index:
+            values[name][index] = omega[ab]
+        else:
+            values[name] = omega[ab]
+    below = np.tril_indices(n, -1)
+    for name in ("a1", "k"):
+        values[name][below] = -values[name].T[below]
+    values["a2"][below] = values["a2"].T[below]
+    return OmegaParams(n=n, **values, exact=fld.exact)
 
 
 def matches_omega_template(omega: np.ndarray, n: int) -> bool:
@@ -382,7 +364,7 @@ def is_nondegenerate(omega: np.ndarray) -> bool:
     if _exact.is_exact(omega):
         return _exact.det(omega) != 0
     sv = np.linalg.svd(omega, compute_uv=False)
-    return sv[-1] > 1e-12 * max(1.0, sv[0])
+    return not negligible(sv[-1], 1e-12, sv)
 
 
 def pseudo_kahler_metric(omega: np.ndarray, n: int) -> np.ndarray:

@@ -40,7 +40,7 @@ from functools import cache
 import numpy as np
 from scipy.linalg import eigh, schur
 
-from ._exact import fmat, signed_permutation, to_float
+from ._exact import fmat, maxabs, negligible, signed_permutation, to_float
 from .lie_core import LieAlgebra, standard_symplectic
 from .automorphism import (
     Automorphism,
@@ -126,11 +126,13 @@ class CanonicalMetric:
         s4 = np.asarray(self.S4bar, dtype=float)
         if s4.shape != (2 * n, 2 * n):
             raise ValueError("S4bar shape mismatch")
-        if np.abs(s4 - s4.T).max() > 1e-9 * max(1.0, np.abs(s4).max()):
+        if not np.isfinite([*np.asarray(self.sigma, dtype=float), *s4.flat, float(self.omega4)]).all():
+            raise ValueError("sigma, S4bar and omega4 must be finite")
+        if not negligible(maxabs(s4 - s4.T), 1e-9, s4):
             raise ValueError("S4bar must be symmetric")
         if any(self.sigma[i] < self.sigma[i + 1] - 1e-9 for i in range(n - 1)):
             raise ValueError("sigma must be sorted descending")
-        if abs(self.sigma[-1] - 1.0) > 1e-6:
+        if not negligible(self.sigma[-1] - 1.0, 1e-6):
             raise ValueError("sigma_n must equal 1")
         if self.omega4 <= 0:
             raise ValueError("omega4 must be positive")
@@ -203,8 +205,7 @@ def williamson(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = two_n // 2
     if not np.isfinite(m).all():
         raise NonPositiveDefinite("matrix has non-finite entries")
-    scale = max(1.0, np.abs(m).max())
-    if np.abs(m - m.T).max() > 1e-12 * scale:
+    if not negligible(maxabs(m - m.T), 1e-12, m):
         raise NonPositiveDefinite("matrix is not symmetric")
     w, v = np.linalg.eigh(m)
     if w.min() <= 0:
@@ -231,11 +232,9 @@ def williamson(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             o[:, newk] = q[:, i]
             o[:, n + newk] = q[:, i + 1]
     fbar = mi2 @ o @ np.diag(np.concatenate([np.sqrt(sigma), np.sqrt(sigma)]))
-    cert1 = np.abs(fbar.T @ j @ fbar - j).max()
-    target = np.diag(np.concatenate([sigma, sigma]))
-    cert2 = np.abs(fbar.T @ m @ fbar - target).max()
-    bound = 1e-8 * max(scale, sigma.max())
-    if cert1 > bound or cert2 > bound:
+    cert1 = maxabs(fbar.T @ j @ fbar - j)
+    cert2 = maxabs(fbar.T @ m @ fbar - np.diag(np.concatenate([sigma, sigma])))
+    if not (negligible(cert1, 1e-8, m, sigma) and negligible(cert2, 1e-8, m, sigma)):
         raise ToleranceFailure(
             f"williamson certificate failed: symplectic {cert1:.2e}, diagonal {cert2:.2e}"
         )
@@ -291,7 +290,7 @@ def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
         raise ValueError("metric dimension mismatch")
     if not np.isfinite(s).all():
         raise NonPositiveDefinite("metric has non-finite entries")
-    if np.abs(s - s.T).max() > 1e-9 * max(1.0, np.abs(s).max()):
+    if not negligible(maxabs(s - s.T), 1e-9, s):
         raise NonPositiveDefinite("metric is not symmetric")
     s = 0.5 * (s + s.T)   # drop pullback roundoff asymmetry
     if np.linalg.eigvalsh(s).min() <= 0:
@@ -374,7 +373,7 @@ def reduce_to_canonical(s: np.ndarray, g: LieAlgebra) -> tuple[CanonicalMetric, 
         partial ReductionResult.
     """
     result = reduce_with_diagnostics(s, g)
-    if result.residual > 1e-6:
+    if not negligible(result.residual, 1e-6):
         raise ToleranceFailure(
             f"residual {result.residual:.3e} exceeds 1.0e-06; "
             f"center-pairing |t4| = {np.abs(result.t4).max():.3e} "
@@ -436,7 +435,7 @@ def _generators(g: LieAlgebra) -> list:
     for m in mats:
         m = to_float(m)
         x = np.rint(m).astype(int)
-        if np.abs(m - x).max() > 1e-12 or not is_automorphism(fmat(x), g):
+        if not negligible(maxabs(m - x), 1e-12) or not is_automorphism(fmat(x), g):
             raise ValueError("residual group generator is not an integer automorphism")
         out.append(x)
     return out
@@ -538,19 +537,19 @@ def are_equivalent(s1: np.ndarray, s2: np.ndarray, g: LieAlgebra) -> Equivalence
     sig1 = np.array(r1.sigma)
     sig2 = np.array(r2.sigma)
     detail = {"sigma1": r1.sigma, "sigma2": r2.sigma}
-    if np.abs(sig1 - sig2).max() > _EQUIV_TOL * max(1.0, sig1.max(), sig2.max()):
+    if not negligible(maxabs(sig1 - sig2), _EQUIV_TOL, sig1, sig2):
         return EquivalenceResult("distinct", None, detail)
     gaps = np.abs(np.diff(sig1))
-    repeated = bool(n > 1 and gaps.size and gaps.min() < 1e-9 * max(1.0, sig1.max()))
+    repeated = bool(n > 1 and gaps.size and negligible(gaps.min(), 1e-9, sig1))
     detail["repeated_sigma"] = repeated
     rot = _residual_group_matches(r1, r2, g, _EQUIV_TOL)
     if rot is not None:
         w_mat = r1.automorphism.matrix @ rot.matrix @ np.linalg.inv(r2.automorphism.matrix)
         witness = Automorphism(matrix=w_mat, n=n)
         if is_automorphism(w_mat, g, tol=1e-9) and \
-                np.abs(act(witness, s1) - s2).max() <= 10 * _EQUIV_TOL * max(1.0, np.abs(s2).max()):
+                negligible(maxabs(act(witness, s1) - s2), 10 * _EQUIV_TOL, s2):
             return EquivalenceResult("equivalent", witness, detail)
-    reached = all(r.residual <= 1e-9 * max(1.0, np.abs(s).max()) for r, s in ((r1, s1), (r2, s2)))
+    reached = all(negligible(r.residual, 1e-9, s) for r, s in ((r1, s1), (r2, s2)))
     if repeated or n >= 2 or not reached:
         return EquivalenceResult("inconclusive", None, detail)
     return EquivalenceResult("distinct", None, detail)

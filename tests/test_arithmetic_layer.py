@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from heiscot import _exact
-from heiscot._exact import EXACT, FLOAT, feye, field, field_of, fmat, negligible
+from heiscot._exact import EXACT, FLOAT, feye, field, field_of, fmat, fzeros, negligible
 from heiscot.adinvariant import normalize_ad_invariant, pairing_metric
 from heiscot.automorphism import AutParams, assemble, identity_params, is_automorphism
 from heiscot.complex_structures import (
@@ -27,6 +27,7 @@ from heiscot.complex_structures import (
     matches_hermitian_family,
     standard_complex_structure,
 )
+from heiscot.curvature import is_flat, levi_civita, riemann
 from heiscot.forms_kahler import (
     OmegaParams,
     build_omega,
@@ -96,7 +97,7 @@ def test_exact_field_calls_the_module_inv_at_call_time(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# every predicate on negligible, each given a perturbation eps (0 or TINY)
+# every exact zero test, each given a perturbation eps (0 or TINY)
 
 
 def _rejects(build) -> bool:
@@ -140,6 +141,12 @@ def _metric(eps, at, base=None):
     return s
 
 
+def _curvature_tensor(eps):
+    riem = fzeros((6, 6, 6, 6))
+    riem[0, 1, 2, 3] += eps
+    return riem
+
+
 ACCEPTS = {
     "is_integrable": lambda eps: is_integrable(_j0(1, eps, (0, 2)), build_thn(1)),
     "IntegrableFamily.member": lambda eps: not _rejects(lambda: _member(eps)),
@@ -159,6 +166,7 @@ ACCEPTS = {
     "assemble": lambda eps: not _rejects(
         lambda: assemble(_params(2, eps, "u1", 0), build_thn(2))),
     "is_automorphism": lambda eps: is_automorphism(_metric(eps, (5, 5)), build_thn(1)),
+    "is_flat": lambda eps: is_flat(_curvature_tensor(eps)),
     "normalize_ad_invariant": lambda eps: not _rejects(
         lambda: normalize_ad_invariant(_metric(eps, (5, 5), pairing_metric(1, exact=True)),
                                        build_thn(1))),
@@ -211,6 +219,9 @@ SCALED = {
     "assemble": (lambda: not _rejects(lambda: assemble(_aut_params(2, HUGE), build_thn(2))), True),
     # 10^400 Id maps [x, y] to 10^400 [x, y], not to 10^800 [x, y]
     "is_automorphism": (lambda: is_automorphism(HUGE * feye(6), build_thn(1)), False),
+    # the identity metric is not flat, so neither is 10^400 times its curvature
+    "is_flat": (lambda: is_flat(HUGE * riemann(build_thn(1), levi_civita(build_thn(1), feye(6)))),
+                False),
     # 10^400 times the pairing is ad-invariant with alpha = 10^400
     "normalize_ad_invariant": (lambda: not _rejects(
         lambda: normalize_ad_invariant(HUGE * pairing_metric(1, exact=True), build_thn(1))), True),

@@ -116,6 +116,9 @@ def test_omega_params_validation():
     # the two extra coefficients exist only at n = 1
     with pytest.raises(ValueError):
         OmegaParams(n=2, c1=1.0).blocks()
+    # d is an (n, n) matrix; a length-n vector is not promoted to a diagonal
+    with pytest.raises(ValueError, match="block shape"):
+        OmegaParams(n=2, d=np.array([1.0, 2.0])).blocks()
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -117,6 +117,17 @@ def test_non_finite_metrics_raise_the_domain_error(algebras, value, cells):
             call()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("sigma", (np.nan,)), ("sigma", (np.inf,)),
+    ("S4bar", np.array([[np.nan, 0.0], [0.0, 1.0]])), ("S4bar", np.diag([np.inf, 1.0])),
+    ("omega4", np.nan), ("omega4", np.inf),
+])
+def test_canonical_metric_rejects_non_finite_data(field, value):
+    data = {"sigma": (1.0,), "S4bar": np.eye(2), "omega4": 1.0, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        CanonicalMetric(**data)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_orbit_pairs_equivalent_with_witness(algebras, rng, n):
     g = algebras[n]
