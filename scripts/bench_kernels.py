@@ -80,16 +80,20 @@ def _inputs(n):
 
     from heiscot._exact import fmat
     from heiscot.automorphism import random_automorphism
-    from heiscot.complex_structures import IntegrableFamily, anticommuting_block, standard_complex_structure
+    from heiscot.complex_structures import IntegrableFamily, standard_complex_structure
     from heiscot.forms_kahler import build_omega, is_nondegenerate, pseudo_kahler_metric, random_omega_params
     from heiscot.lie_core import build_thn
     from heiscot.metric_moduli import CanonicalMetric, act, random_positive_definite
 
     g = build_thn(n)
     rng = np.random.default_rng(100 + n)
-    blocks = [fmat(rng.integers(-3, 4, size=(n, n)).tolist()) for _ in range(2)]
+    a3, b3 = (fmat(rng.integers(-3, 4, size=(n, n)).tolist()) for _ in range(2))
+    # the family member (+1, n2 = 3/2, [[A, B], [B, -A]]), written into J0
+    # entry by entry, so that every revision builds the same exact matrix
+    j_exact = standard_complex_structure(n, exact=True)
+    j_exact[2 * n, -1], j_exact[-1, 2 * n] = Fraction(3, 2), Fraction(-2, 3)
+    j_exact[2 * n + 1 : 4 * n + 1, : 2 * n] = np.block([[a3, b3], [b3, -a3]])
     fam = IntegrableFamily(n)
-    j_exact = fam.member(1, Fraction(3, 2), anticommuting_block(*blocks, exact=True), exact=True)
     _, j = fam.sample(rng)
     f = random_automorphism(n, g, rng=rng).matrix
     j_float = np.linalg.solve(f, j @ f)

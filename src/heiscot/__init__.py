@@ -16,9 +16,11 @@ classification of its left-invariant structures:
   they induce, with an exact curvature engine for certificates.
 
 Most constructions run in either float or exact rational arithmetic,
-following the type of their input: object arrays of fractions are exact
-throughout.  ``heiscot._exact`` makes that choice in one place, with
-its two fields (``field``, ``field_of``) and one zero test
+following the type of their operands: object arrays of fractions and
+rational scalars are exact throughout, and one float operand makes the
+result float.  ``heiscot._exact`` makes that choice in one place, with
+its two fields (``field_of`` from the operands, ``field`` from the flag
+of a constructor that builds from nothing) and one zero test
 (``negligible``: exact defects must be 0, float ones within a tolerance
 scaled by the size of their operands).
 """
@@ -92,14 +94,12 @@ from .forms_kahler import (
     OmegaParams,
     build_omega,
     certify_pseudo_kahler,
-    closed_invariant_dimension,
     closed_invariant_space,
     closure_defect,
     d_one_form,
     d_two_form,
     extract_omega_params,
     is_closed,
-    j_invariant,
     matches_omega_template,
     omega_parameter_count,
     pseudo_kahler_metric,

@@ -34,17 +34,21 @@ result is converted back to a dense array.  :func:`congruence_defect`
 (max |F^T S F - P|) runs on it, and :func:`maxabs` is the one max-|entry|
 helper of the package: exact on object arrays, float otherwise.
 
-Arithmetic follows the input's type, and the choice is made here, once.
-:func:`field` (from a flag) and :func:`field_of` (from an array) return one
-of two field objects, :data:`EXACT` over Fraction object arrays and
-:data:`FLOAT` over float64, with the same interface: ``zeros``, ``eye``,
-``scalar`` and ``array`` coercion, ``inv`` and ``solve``.  Every zero test
-goes through :func:`negligible`, which also owns the tolerance scale: an
-exact defect must be exactly zero and its operands are never sized; a
-float one must lie within ``tol`` times the size of its operands.  Outside
-it stay only tests of another kind: SVD rank and condition cutoffs, strict
-absolute floors, ``signature``, ``is_automorphism``'s determinant floor,
-the residual-group search's vectorized bound and ``curvature.is_flat``.
+Arithmetic follows the input's type, and the choice is made here, once:
+the operands choose the field.  :func:`field_of` returns :data:`EXACT`
+(Fraction object arrays) when every operand is exact, an object array or
+a :class:`numbers.Rational` scalar, and :data:`FLOAT` (float64) as soon as
+one is a float or a float array, so a float never becomes a Fraction.
+Only constructors that build from nothing name their field, with
+:func:`field` (from a flag).  Both fields share one interface: ``zeros``,
+``eye``, ``scalar`` and ``array`` coercion, ``inv`` and ``solve``.
+Every zero test goes through :func:`negligible`, which also owns the
+tolerance scale: an exact defect must be exactly zero and its operands are
+never sized; a float one must lie within ``tol`` times the size of its
+operands.  Outside it stay only tests of another kind: SVD rank and
+condition cutoffs, strict absolute floors, ``signature``,
+``is_automorphism``'s determinant floor, the residual-group search's
+vectorized bound and ``curvature.is_flat``.
 """
 
 from __future__ import annotations
@@ -58,11 +62,11 @@ import numpy as np
 __all__ = [
     "fr",
     "fmat",
-    "fvec",
     "feye",
     "fzeros",
     "is_exact",
     "to_float",
+    "require_finite",
     "EXACT",
     "FLOAT",
     "field",
@@ -105,10 +109,6 @@ def fmat(rows) -> np.ndarray:
     return out
 
 
-def fvec(entries) -> np.ndarray:
-    return fmat(entries)
-
-
 def fzeros(shape) -> np.ndarray:
     out = np.empty(shape, dtype=object)
     out[...] = Fraction(0)
@@ -128,6 +128,14 @@ def is_exact(a) -> bool:
 
 def to_float(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float)
+
+
+def require_finite(a: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first non-finite entries of a float array."""
+    bad = np.argwhere(~np.isfinite(a)).tolist()
+    if bad:
+        more = f" and {len(bad) - 4} more" if len(bad) > 4 else ""
+        raise ValueError(f"{what} has non-finite entries at {[tuple(i) for i in bad[:4]]}{more}")
 
 
 class _ExactField:
@@ -171,9 +179,12 @@ def field(exact: bool):
     return EXACT if exact else FLOAT
 
 
-def field_of(a):
-    """The field of an array's entries: :data:`EXACT` for object arrays."""
-    return field(is_exact(np.asarray(a)))
+def field_of(*operands):
+    """:data:`EXACT` when every operand that is not None is exact (an object
+    array or a :class:`numbers.Rational` scalar: int, Fraction, numpy int),
+    else :data:`FLOAT`."""
+    return field(all(isinstance(x, numbers.Rational) or is_exact(np.asarray(x))
+                     for x in operands if x is not None))
 
 
 def negligible(defect, tol: float, *operands, power: int = 1) -> bool:

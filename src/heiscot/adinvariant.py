@@ -74,7 +74,7 @@ def ad_invariance_defect(g: LieAlgebra, s: np.ndarray):
         return worst
     worst = 0.0
     for x in range(g.dim):
-        ax = g.ad_basis(x)
+        ax = g.structure_tensor[x].T.copy()
         worst = max(worst, float(np.abs(ax.T @ s + s @ ax).max()))
     return worst
 
@@ -214,7 +214,8 @@ def certify_flat(s: np.ndarray, g: LieAlgebra) -> dict:
     fld = field_of(s)
     gamma = levi_civita(g, s)
     half = fld.scalar(1) / 2
-    diff = np.array([gamma[i] - half * g.ad_basis(i, exact=fld.exact).T for i in range(g.dim)])
+    eye = fld.eye(g.dim)
+    diff = np.array([gamma[i] - half * g.ad_matrix(eye[i]).T for i in range(g.dim)])
     riem = riemann(g, gamma)
     return {
         "half_ad_defect": maxabs(diff),

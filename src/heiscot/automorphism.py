@@ -67,13 +67,16 @@ class AutParams:
 
     @property
     def exact(self) -> bool:
-        return _exact.is_exact(np.asarray(self.Fbar1))
+        """Whether all five blocks are exact; see :func:`heiscot._exact.field_of`."""
+        return field_of(self.Fbar1, self.u1, self.v1, self.f1, self.F3).exact
 
     def f4(self):
         """Conformal factor from Fbar1^T J Fbar1 = f4 J; raises if the identity fails (at 1e-12)."""
         n = self.n
-        j = standard_symplectic(n, exact=self.exact)
-        m = np.asarray(self.Fbar1).T @ j @ np.asarray(self.Fbar1)
+        fld = field(self.exact)
+        j = standard_symplectic(n, exact=fld.exact)
+        fb1 = fld.array(self.Fbar1)
+        m = fb1.T @ j @ fb1
         f4 = m[0, n] / j[0, n]
         if not negligible(maxabs(m - f4 * j), 1e-12, m):
             raise ValueError("Fbar1 is not conformal symplectic")
@@ -157,8 +160,9 @@ def assemble(params: AutParams, g: LieAlgebra) -> Automorphism:
     """Build the full (4n+2) x (4n+2) automorphism from block data.
 
     The determined blocks (F4, u4, v4, f4) are filled in and bracket
-    preservation is re-verified before returning.  Exact inputs give an
-    exact check; float inputs are checked at 1e-12.
+    preservation is re-verified before returning.  Exact blocks give an
+    exact automorphism and check; if any block is float, all are coerced
+    to float and checked at 1e-12.
 
     Raises
     ------
@@ -172,14 +176,14 @@ def assemble(params: AutParams, g: LieAlgebra) -> Automorphism:
         raise ValueError("algebra/params dimension mismatch")
     fld = field(params.exact)
     f4 = params.f4()
-    f1 = params.f1
+    f1 = fld.scalar(params.f1)
     if f1 == 0:
         raise ValueError("f1 must be nonzero")
     j = standard_symplectic(n, exact=fld.exact)
-    fb1 = np.asarray(params.Fbar1)
-    u1 = np.asarray(params.u1)
-    v1 = np.asarray(params.v1)
-    f3 = np.asarray(params.F3)
+    fb1 = fld.array(params.Fbar1)
+    u1 = fld.array(params.u1)
+    v1 = fld.array(params.v1)
+    f3 = fld.array(params.F3)
 
     fb1_inv = fld.inv(fb1)
     # det F1 = det(Fbar1) (f1 - u1^T Fbar1^{-1} v1); reject singular F1 early

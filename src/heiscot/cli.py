@@ -385,7 +385,7 @@ def _kahler_checks(n: int, seed: int) -> list[Check]:
         omega_parameter_count(n) == len(space),
         f"template parameters {omega_parameter_count(n)}",
     ))
-    mu_only = OmegaParams(n=n, mu=Fraction(1), exact=True)
+    mu_only = OmegaParams(n=n, mu=Fraction(1))
     rep = certify_pseudo_kahler(mu_only)
     out.append(_check(
         "mu_form_ricci_flat_not_flat",

@@ -99,7 +99,7 @@ class NotInFamily(ValueError):
     """Integrable input that cannot be conjugated to the reference structure."""
 
 
-def signed_plane_member(n: int, signs, n2=1.0, exact: bool = False) -> np.ndarray:
+def signed_plane_member(n: int, signs, n2=1.0) -> np.ndarray:
     """Rotate planes (e_i, f_i) and (e*_i, f*_i) by signs[i]; z -> n2 z*, z* -> -z/n2.
 
     The one layout of the block family: J0 and every family member are
@@ -107,6 +107,7 @@ def signed_plane_member(n: int, signs, n2=1.0, exact: bool = False) -> np.ndarra
     J^2 = -Id and a vanishing Nijenhuis tensor, but the structure is not
     conjugate to +-J0: the form h(u, v) = omega([Ju, v]) on span(e, f)
     picks up both signs, and its signature is preserved by conjugation.
+    Exact for an exact n2 (a Fraction or an int), float otherwise.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -117,7 +118,7 @@ def signed_plane_member(n: int, signs, n2=1.0, exact: bool = False) -> np.ndarra
         raise ValueError("n2 must be nonzero")
     d = 4 * n + 2
     m = 2 * n + 1
-    fld = field(exact)
+    fld = field_of(n2)
     out = fld.zeros((d, d))
     n2 = fld.scalar(n2)
     for i, s in enumerate(signs):
@@ -133,7 +134,7 @@ def signed_plane_member(n: int, signs, n2=1.0, exact: bool = False) -> np.ndarra
 
 def standard_complex_structure(n: int, exact: bool = False) -> np.ndarray:
     """The reference complex structure J0 on T*h(2n+1): all signs +1, n2 = 1; entries 0, +-1."""
-    return signed_plane_member(n, (1,) * n, 1, exact=exact)
+    return signed_plane_member(n, (1,) * n, field(exact).scalar(1))
 
 
 def almost_complex_defect(j: np.ndarray):
@@ -264,25 +265,26 @@ def is_integrable(j: np.ndarray, g: LieAlgebra) -> bool:
 # the block family
 
 
-def anticommuting_block(a: np.ndarray, b: np.ndarray, exact: bool = False) -> np.ndarray:
+def anticommuting_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[[A, B], [B, -A]] anticommutes with the standard symplectic matrix.
 
     The pattern is forced: writing Jbar3 in n x n blocks, Jbar3 Jbar +
     Jbar Jbar3 = 0 is equivalent to the lower-right being minus the
     upper-left and the off-diagonal blocks being equal.  The identity is
-    re-verified on the assembled matrix.
+    re-verified on the assembled matrix.  Exact when both blocks are.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    fld = field_of(a, b)
+    a = fld.array(a)
+    b = fld.array(b)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n, n):
         raise ValueError("blocks must be square and equally sized")
-    out = field(exact).zeros((2 * n, 2 * n))
+    out = fld.zeros((2 * n, 2 * n))
     out[:n, :n] = a
     out[:n, n:] = b
     out[n:, :n] = b
     out[n:, n:] = -a
-    jb = standard_symplectic(n, exact=exact)
+    jb = standard_symplectic(n, exact=fld.exact)
     if not negligible(maxabs(out @ jb + jb @ out), 1e-12, out):
         raise ValueError("assembled block fails to anticommute")
     return out
@@ -318,15 +320,16 @@ class IntegrableFamily:
 
     n: int
 
-    def member(self, epsilon: int, n2, jbar3: np.ndarray | None = None,
-               exact: bool = False) -> np.ndarray:
+    def member(self, epsilon: int, n2, jbar3: np.ndarray | None = None) -> np.ndarray:
+        """The member (epsilon, n2, jbar3); exact when n2 and jbar3 both are."""
         n = self.n
-        out = signed_plane_member(n, (epsilon,) * n, n2, exact=exact)
+        fld = field_of(n2, jbar3)
+        out = signed_plane_member(n, (epsilon,) * n, fld.scalar(n2))
         if jbar3 is not None:
-            jbar3 = np.asarray(jbar3)
+            jbar3 = fld.array(jbar3)
             if jbar3.shape != (2 * n, 2 * n):
                 raise ValueError("jbar3 shape mismatch")
-            jb = standard_symplectic(n, exact=exact)
+            jb = standard_symplectic(n, exact=fld.exact)
             if not negligible(maxabs(jbar3 @ jb + jb @ jbar3), 1e-10, jbar3):
                 raise ValueError("jbar3 must anticommute with the plane rotation")
             out[2 * n + 1 : 4 * n + 1, : 2 * n] = jbar3
@@ -393,7 +396,7 @@ def match_family(j: np.ndarray, n: int) -> FamilyParams | None:
     jb = standard_symplectic(n, exact=exact)
     if not negligible(maxabs(jbar3 @ jb + jb @ jbar3), 1e-10, j):
         return None
-    rebuilt = IntegrableFamily(n).member(epsilon, n2, exact=exact)
+    rebuilt = IntegrableFamily(n).member(epsilon, n2)
     rebuilt[m : m + 2 * n, : 2 * n] = jbar3
     if not negligible(maxabs(j - rebuilt), 1e-10, j):
         return None
@@ -737,11 +740,11 @@ def is_abelian_complex_structure(j: np.ndarray, g: LieAlgebra) -> tuple[bool, tu
     zero, while [z*, e_1] = f*_1.
     """
     j = np.asarray(j)
-    exact = _exact.is_exact(j)
     d = g.dim
+    eye = field_of(j).eye(d)
     for a in range(d):
         for b in range(a + 1, d):
-            lhs = g.bracket_basis(a, b, exact=exact)
+            lhs = g.bracket(eye[a], eye[b])
             rhs = g.bracket(j[:, a], j[:, b])
             if not negligible(maxabs(lhs - rhs), 1e-10, j, power=2):
                 return False, (g.basis_names[a], g.basis_names[b])

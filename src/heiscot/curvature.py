@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._exact import SparseQ, ad, field_of, fzeros, is_exact, ldl_inertia, maxabs
+from ._exact import SparseQ, ad, field_of, fzeros, is_exact, ldl_inertia, maxabs, require_finite
 from ._exact import inv as _exact_inv
 from .lie_core import LieAlgebra
 
@@ -61,6 +61,11 @@ def levi_civita(g: LieAlgebra, s: np.ndarray) -> np.ndarray:
     ndarray
         gamma of shape (d, d, d) with gamma[i, j, :] = nabla_{b_i} b_j.
 
+    Raises
+    ------
+    ValueError
+        If a float s has a NaN or infinite entry.
+
     Notes
     -----
     No definiteness is assumed; any nondegenerate symmetric s works.
@@ -81,6 +86,7 @@ def levi_civita(g: LieAlgebra, s: np.ndarray) -> np.ndarray:
             q = SparseQ({j: pj.rows[i] for j, pj in enumerate(p) if i in pj.rows}, p[i].den)
             gamma[i] = (Fraction(1, 2) * ((p[i].T - p[i] - q) @ sinv_t)).dense((d, d))
         return gamma
+    require_finite(s, "metric")
     rhs = np.zeros((d, d, d))
     # <[a,b],.> enters three times; walk the constants once per term
     for (a, b, k, v) in g.constants:
@@ -191,7 +197,7 @@ def ricci_nilpotent_summands(g: LieAlgebra, s: np.ndarray) -> tuple[np.ndarray, 
                 two[u, v] = two[v, u] = Fraction(-1, 2) * ads[u].trace_of_product(adstar[v])
         return one, two
     sinv = np.linalg.inv(s)
-    ad_f = [g.ad_basis(u) for u in range(d)]
+    ad_f = [g.structure_tensor[u].T.copy() for u in range(d)]
     adstar = [sinv @ a.T @ s for a in ad_f]
     ju = []
     for u in range(d):

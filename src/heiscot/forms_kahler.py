@@ -65,10 +65,7 @@ __all__ = [
     "d_two_form",
     "closure_defect",
     "is_closed",
-    "invariance_defect",
-    "j_invariant",
     "closed_invariant_space",
-    "closed_invariant_dimension",
     "OmegaParams",
     "random_omega_params",
     "build_omega",
@@ -164,18 +161,6 @@ def is_closed(omega: np.ndarray, g: LieAlgebra) -> bool:
     return negligible(closure_defect(omega, g), 1e-10, omega)
 
 
-def invariance_defect(omega: np.ndarray, j: np.ndarray):
-    """max |J^T Omega J - Omega|; exact, over :class:`~heiscot._exact.SparseQ`,
-    when both are exact."""
-    return hermitian_defect(j, omega)
-
-
-def j_invariant(omega: np.ndarray, j: np.ndarray) -> bool:
-    """True iff Omega(Jx, Jy) = Omega(x, y) within 1e-10 relative to max |Omega|
-    (exact zero for object input)."""
-    return negligible(invariance_defect(omega, j), 1e-10, omega)
-
-
 def closed_invariant_space(n: int) -> list[np.ndarray]:
     """Exact basis of {Omega antisymmetric : d Omega = 0, J0-invariant}.
 
@@ -192,10 +177,6 @@ def closed_invariant_space(n: int) -> list[np.ndarray]:
     return solution_space(equations, units, (d, d))
 
 
-def closed_invariant_dimension(n: int) -> int:
-    return len(closed_invariant_space(n))
-
-
 def omega_parameter_count(n: int) -> int:
     """Free parameters of the template: 2n^2 + 1, plus 2 when n = 1."""
     return 2 * n * n + 1 + (2 if n == 1 else 0)
@@ -207,7 +188,7 @@ def _coerce_block(x, shape, fld):
     x = np.asarray(x)
     if x.shape != shape:
         raise ValueError(f"block shape {x.shape} != {shape}")
-    return x
+    return fld.array(x)
 
 
 @dataclass(frozen=True)
@@ -230,7 +211,11 @@ class OmegaParams:
     mu: object = 0
     c1: object = 0
     c2: object = 0
-    exact: bool = False
+
+    @property
+    def exact(self) -> bool:
+        """Whether every block and scalar is exact; see :func:`heiscot._exact.field_of`."""
+        return field_of(self.a1, self.a2, self.k, self.d, self.mu, self.c1, self.c2).exact
 
     def blocks(self):
         n = self.n
@@ -267,7 +252,6 @@ def random_omega_params(n: int, rng: np.random.Generator) -> OmegaParams:
         mu=Fraction(mu),
         c1=Fraction(c1),
         c2=Fraction(c2),
-        exact=True,
     )
 
 
@@ -311,7 +295,7 @@ def build_omega(params: OmegaParams) -> np.ndarray:
     g = build_thn(n)
     fld = field(params.exact)
     values = dict(zip(("a1", "a2", "k", "d"), params.blocks()),
-                  mu=params.mu, c1=params.c1, c2=params.c2)
+                  mu=fld.scalar(params.mu), c1=fld.scalar(params.c1), c2=fld.scalar(params.c2))
     out = fld.zeros((g.dim, g.dim))
     for name, index, (a, b), coef in _slots(n):
         v = coef * (values[name][index] if index else values[name])
@@ -319,7 +303,7 @@ def build_omega(params: OmegaParams) -> np.ndarray:
         out[b, a] -= v
     j0 = standard_complex_structure(n, exact=fld.exact)
     assert negligible(closure_defect(out, g), 1e-10, out)
-    assert negligible(invariance_defect(out, j0), 1e-10, out)
+    assert negligible(hermitian_defect(j0, out), 1e-10, out)
     return out
 
 
@@ -344,7 +328,7 @@ def extract_omega_params(omega: np.ndarray, n: int) -> OmegaParams:
     for name in ("a1", "k"):
         values[name][below] = -values[name].T[below]
     values["a2"][below] = values["a2"].T[below]
-    return OmegaParams(n=n, **values, exact=fld.exact)
+    return OmegaParams(n=n, **values)
 
 
 def matches_omega_template(omega: np.ndarray, n: int) -> bool:
@@ -359,10 +343,12 @@ def matches_omega_template(omega: np.ndarray, n: int) -> bool:
 
 def is_nondegenerate(omega: np.ndarray) -> bool:
     """Nonzero determinant; exact when the input is rational, else the smallest
-    singular value must exceed 1e-12 * max(1, largest)."""
+    singular value must exceed 1e-12 * max(1, largest); ValueError on a
+    non-finite float entry."""
     omega = np.asarray(omega)
     if _exact.is_exact(omega):
         return _exact.det(omega) != 0
+    _exact.require_finite(omega, "2-form")
     sv = np.linalg.svd(omega, compute_uv=False)
     return not negligible(sv[-1], 1e-12, sv)
 
@@ -372,7 +358,8 @@ def pseudo_kahler_metric(omega: np.ndarray, n: int) -> np.ndarray:
 
     J0-invariance of Omega makes S symmetric and Hermitian for J0, and
     the form is recovered as Omega(x, y) = S(x, J0 y).  Raises
-    DegenerateOmega when Omega has no inverse.
+    DegenerateOmega when Omega has no inverse and ValueError when a float
+    Omega has a non-finite entry.
     """
     omega = np.asarray(omega)
     d = 4 * n + 2

@@ -112,26 +112,9 @@ class LieAlgebra:
         c.flags.writeable = False
         return c
 
-    def bracket_basis(self, i: int, j: int, exact: bool = True) -> np.ndarray:
-        """[b_i, b_j] as a coordinate vector."""
-        fld = field(exact)
-        out = fld.zeros(self.dim)
-        for (k, v) in self._lookup.get((i, j), ()):
-            out[k] += fld.scalar(v)
-        return out
-
     def bracket_sparse(self, i: int, j: int) -> tuple:
         """Nonzero terms of [b_i, b_j] as (index, Fraction) pairs."""
         return tuple(self._lookup.get((i, j), ()))
-
-    def ad_basis(self, i: int, exact: bool = False) -> np.ndarray:
-        """Matrix of ad(b_i); column j holds [b_i, b_j]."""
-        fld = field(exact)
-        out = fld.zeros((self.dim, self.dim))
-        for j in range(self.dim):
-            for (k, v) in self._lookup.get((i, j), ()):
-                out[k, j] += fld.scalar(v)
-        return out
 
     def bracket(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Bracket of two coordinate vectors; exact iff both inputs are object arrays.

@@ -555,9 +555,8 @@ def are_equivalent(s1: np.ndarray, s2: np.ndarray, g: LieAlgebra) -> Equivalence
     return EquivalenceResult("distinct", None, detail)
 
 
-def random_positive_definite(g: LieAlgebra, rng: np.random.Generator,
-                             spread: float = 1.0) -> np.ndarray:
-    """Well-conditioned random SPD metric: A A^T + dim * E with N(0, spread) entries."""
+def random_positive_definite(g: LieAlgebra, rng: np.random.Generator) -> np.ndarray:
+    """Well-conditioned random SPD metric: A A^T + dim * E with N(0, 1) entries."""
     d = g.dim
-    a = spread * rng.standard_normal((d, d))
-    return a @ a.T + d * max(1.0, spread ** 2) * np.eye(d)
+    a = rng.standard_normal((d, d))
+    return a @ a.T + d * np.eye(d)

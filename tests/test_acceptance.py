@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heiscot._exact import to_float
+from heiscot._exact import feye, to_float
 from heiscot.adinvariant import (
     ad_invariant_solution_space,
     certify_flat,
@@ -148,8 +148,9 @@ def test_ac05_ad_invariant_class():
         cert = certify_flat(p, g)
         ok &= cert["flat"] and cert["riemann_max"] == 0 and cert["half_ad_defect"] == 0
         riem = riemann(g, levi_civita(g, p))
+        e = feye(g.dim)
         quarter = all(
-            (riem[i, j] == (Fraction(-1, 4) * g.ad_matrix(g.bracket_basis(i, j))).T).all()
+            (riem[i, j] == (Fraction(-1, 4) * g.ad_matrix(g.bracket(e[i], e[j]))).T).all()
             for i in range(g.dim) for j in range(g.dim)
         )
         ok &= quarter
@@ -168,7 +169,7 @@ def test_ac06_complex_structure_normalization():
         # rational mode: residual exactly 0
         fam = IntegrableFamily(n)
         for eps in (1, -1):
-            res = normalize_complex_structure(fam.member(eps, Fraction(2, 1), exact=True), g)
+            res = normalize_complex_structure(fam.member(eps, Fraction(2, 1)), g)
             ok &= res.residual == 0 and res.epsilon == eps
         # float mode: 50 varied samples, residual <= 1e-9
         sampler = solve_integrable_family(n)
@@ -232,7 +233,7 @@ def test_ac09_pseudo_kahler_certification():
             done += 1
             ok &= rep["ricci_zero"] and rep["summands_zero"] and rep["routes_agree"]
             witnesses += rep["witness"] is not None
-        mu_rep = certify_pseudo_kahler(OmegaParams(n=n, mu=Fraction(1), exact=True))
+        mu_rep = certify_pseudo_kahler(OmegaParams(n=n, mu=Fraction(1)))
         ok &= mu_rep["witness"] is not None and not mu_rep["flat"]
         ok &= witnesses == 20
         notes.append(f"n={n} 20 certificates, {witnesses} witnesses")

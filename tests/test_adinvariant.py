@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heiscot._exact import feye
 from heiscot.adinvariant import (
     ad_invariance_defect,
     ad_invariant_solution_space,
@@ -113,9 +114,10 @@ def test_quarter_ad_curvature_route(algebras):
     gamma = levi_civita(g, p)
     riem = riemann(g, gamma)
     d = g.dim
+    e = feye(d)
     for i in range(d):
         for j in range(d):
-            pred = Fraction(-1, 4) * g.ad_matrix(g.bracket_basis(i, j))
+            pred = Fraction(-1, 4) * g.ad_matrix(g.bracket(e[i], e[j]))
             assert (riem[i, j] == pred.T).all()
 
 

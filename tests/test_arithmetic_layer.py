@@ -8,6 +8,7 @@ float, so a predicate that sizes a float tolerance for exact input raises
 ``OverflowError``; each one must decide such input instead.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +20,14 @@ from heiscot.adinvariant import normalize_ad_invariant, pairing_metric
 from heiscot.automorphism import AutParams, assemble, identity_params, is_automorphism
 from heiscot.complex_structures import (
     IntegrableFamily,
+    anticommuting_block,
     integrability_report,
     is_abelian_complex_structure,
     is_hermitian,
     is_integrable,
     match_family,
     matches_hermitian_family,
+    signed_plane_member,
     standard_complex_structure,
 )
 from heiscot.curvature import is_flat, levi_civita, riemann
@@ -32,7 +35,6 @@ from heiscot.forms_kahler import (
     OmegaParams,
     build_omega,
     is_closed,
-    j_invariant,
     matches_omega_template,
 )
 from heiscot.lie_core import build_thn
@@ -115,7 +117,7 @@ def _j0(n, eps, at):
 
 
 def _omega(eps, at):
-    om = build_omega(OmegaParams(n=1, mu=Fraction(1), exact=True))
+    om = build_omega(OmegaParams(n=1, mu=Fraction(1)))
     om[at] += eps
     om[at[::-1]] -= eps
     return om
@@ -124,7 +126,7 @@ def _omega(eps, at):
 def _member(eps):
     jbar3 = fmat([[1, 2], [2, -1]])
     jbar3[0, 0] += eps
-    return IntegrableFamily(1).member(1, Fraction(3, 2), jbar3, exact=True)
+    return IntegrableFamily(1).member(1, Fraction(3, 2), jbar3)
 
 
 def _params(n, eps, block, at):
@@ -157,11 +159,11 @@ ACCEPTS = {
     "is_abelian_complex_structure": lambda eps: is_abelian_complex_structure(
         _metric(eps, (0, 0)), build_thn(1))[0],
     "is_closed": lambda eps: is_closed(_omega(eps, (2, 5)), build_thn(1)),
-    "j_invariant": lambda eps: j_invariant(_omega(eps, (0, 5)),
-                                           standard_complex_structure(1, exact=True)),
+    "omega_is_hermitian": lambda eps: is_hermitian(standard_complex_structure(1, exact=True),
+                                                   _omega(eps, (0, 5))),
     "matches_omega_template": lambda eps: matches_omega_template(_omega(eps, (0, 5)), 1),
     "OmegaParams.blocks": lambda eps: not _rejects(
-        lambda: OmegaParams(n=1, a1=fmat([[0]]) + eps, exact=True).blocks()),
+        lambda: OmegaParams(n=1, a1=fmat([[0]]) + eps).blocks()),
     "AutParams.f4": lambda eps: not _rejects(lambda: _params(2, eps, "Fbar1", (0, 0)).f4()),
     "assemble": lambda eps: not _rejects(
         lambda: assemble(_params(2, eps, "u1", 0), build_thn(2))),
@@ -186,7 +188,7 @@ def _aut_params(n, scale):
 
 
 def _huge_member(jbar3=None):
-    return IntegrableFamily(1).member(1, HUGE, jbar3, exact=True)
+    return IntegrableFamily(1).member(1, HUGE, jbar3)
 
 
 # each predicate on an input with entries of size 10^400, and its verdict
@@ -207,12 +209,12 @@ SCALED = {
         lambda: is_abelian_complex_structure(HUGE * feye(6), build_thn(1))[0], False),
     # closure, J0-invariance and the template are linear in Omega (mu = 10^400)
     "is_closed": (lambda: is_closed(HUGE * _omega(0, (0, 5)), build_thn(1)), True),
-    "j_invariant": (lambda: j_invariant(HUGE * _omega(0, (0, 5)),
-                                        standard_complex_structure(1, exact=True)), True),
+    "omega_is_hermitian": (lambda: is_hermitian(standard_complex_structure(1, exact=True),
+                                                HUGE * _omega(0, (0, 5))), True),
     "matches_omega_template": (lambda: matches_omega_template(HUGE * _omega(0, (0, 5)), 1), True),
     # a2 = [[10^400]] is symmetric, as a2 must be
     "OmegaParams.blocks": (
-        lambda: not _rejects(lambda: OmegaParams(n=1, a2=fmat([[HUGE]]), exact=True).blocks()),
+        lambda: not _rejects(lambda: OmegaParams(n=1, a2=fmat([[HUGE]])).blocks()),
         True),
     # Fbar1 = 10^400 Id is conformal symplectic (f4 = 10^800), and assembles
     "AutParams.f4": (lambda: not _rejects(lambda: _aut_params(2, HUGE).f4()), True),
@@ -243,3 +245,71 @@ def test_integrability_report_exact_defects_stay_exact():
     assert rep["almost_complex_defect"] > 0 and rep["pairwise_defect"] > 0
     assert rep["routes_agree"] == (rep["pairwise_defect"] == rep["operator_defect"])
     assert not rep["integrable"]
+
+
+# ---------------------------------------------------------------------------
+# the operands choose the field: exact only when every operand is exact
+
+
+def test_field_of_reads_every_operand():
+    assert field_of(Fraction(1, 3), 2, np.int64(3), fmat([[1]]), None) is EXACT
+    assert field_of(fmat([[1]]), Fraction(1, 3), 0.5) is FLOAT
+    assert field_of(fmat([[1]]), np.eye(2)) is FLOAT
+    assert field_of(np.array([1, 2])) is FLOAT
+
+
+def _block(kind):
+    return fmat([[1, 2], [2, -1]]) if kind == "exact" else np.array([[1.0, 2.0], [2.0, -1.0]])
+
+
+def _aut(kind):
+    p = identity_params(2, exact=kind != "float")
+    f3 = p.F3.copy()
+    f3[0, 1] = Fraction(1, 3) if kind != "float" else 1 / 3
+    return assemble(replace(p, F3=f3, f1=0.5 if kind == "mixed" else p.f1), build_thn(2)).matrix
+
+
+# each builder on exact, float and mixed operands ("mixed": at least one float)
+FIELD_RULE = {
+    "signed_plane_member": {
+        "exact": lambda: signed_plane_member(2, (1, -1), Fraction(1, 3)),
+        "float": lambda: signed_plane_member(2, (1, -1), 1 / 3),
+    },
+    "anticommuting_block": {
+        "exact": lambda: anticommuting_block(fmat([[1]]), fmat([[2]])),
+        "float": lambda: anticommuting_block(np.array([[1.0]]), np.array([[2.0]])),
+        "mixed": lambda: anticommuting_block(fmat([[1]]), np.array([[2.0]])),
+    },
+    "IntegrableFamily.member": {
+        "exact": lambda: IntegrableFamily(1).member(1, Fraction(1, 3), _block("exact")),
+        "float": lambda: IntegrableFamily(1).member(1, 0.1, _block("float")),
+        "mixed": lambda: IntegrableFamily(1).member(1, Fraction(1, 3), _block("float")),
+    },
+    "build_omega": {
+        "exact": lambda: build_omega(OmegaParams(n=2, mu=Fraction(1, 3), a2=feye(2))),
+        "float": lambda: build_omega(OmegaParams(n=2, mu=0.1, a2=np.eye(2))),
+        "mixed": lambda: build_omega(OmegaParams(n=2, mu=0.1, a2=feye(2))),
+    },
+    "assemble": {kind: (lambda kind=kind: _aut(kind)) for kind in ("exact", "float", "mixed")},
+}
+
+
+@pytest.mark.parametrize("name, kind", [(name, kind) for name, cases in FIELD_RULE.items()
+                                        for kind in cases])
+def test_the_operands_choose_the_field(name, kind):
+    out = FIELD_RULE[name][kind]()
+    if kind == "exact":
+        assert out.dtype == object and all(type(x) is Fraction for x in out.ravel())
+    else:
+        assert out.dtype == np.float64
+
+
+def test_exact_and_mixed_operands_keep_their_values():
+    assert IntegrableFamily(1).member(1, Fraction(1, 3))[2, 5] == Fraction(1, 3)
+    assert build_omega(OmegaParams(n=2, mu=Fraction(1, 3)))[4, 9] == Fraction(1, 3)
+    # a float corner is not certified as an exact Fraction
+    j = IntegrableFamily(2).member(1, 0.1)
+    assert j[4, 9] == 0.1 and type(integrability_report(j, build_thn(2))["pairwise_defect"]) is not Fraction
+    mixed = replace(identity_params(2, exact=True), f1=0.5)
+    assert not mixed.exact and assemble(mixed, build_thn(2)).matrix[4, 4] == 0.5
+    assert not OmegaParams(n=2, mu=Fraction(1), c1=0.0).exact

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heiscot._exact import feye, fvec, fzeros
+from heiscot._exact import feye, fmat, fzeros
 from heiscot.automorphism import (
     AutParams,
     assemble,
@@ -102,8 +102,8 @@ def test_assembled_from_random_blocks(data):
     lower = feye(2)
     lower[1, 0] = b
     fb1 = fb1 @ lower
-    u1 = fvec([data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))])
-    v1 = fvec([data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))])
+    u1 = fmat([data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))])
+    v1 = fmat([data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))])
     f1 = Fraction(data.draw(st.integers(1, 3)))
     f3 = fzeros((3, 3))
     f3[0, 1] = Fraction(data.draw(st.integers(-2, 2)))

@@ -117,7 +117,7 @@ def test_normalization_template_route_exact(algebras, n):
     g = algebras[n]
     fam = IntegrableFamily(n)
     for eps in (1, -1):
-        j = fam.member(eps, Fraction(3, 2), exact=True)
+        j = fam.member(eps, Fraction(3, 2))
         res = normalize_complex_structure(to_float(j), g)
         assert res.epsilon == eps
         assert res.route == "template"

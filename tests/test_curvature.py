@@ -119,6 +119,14 @@ def test_ricci_symmetric(algebras, rng):
     assert np.abs(ric - ric.T).max() <= 1e-9 * max(1.0, np.abs(s).max())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_levi_civita_rejects_non_finite_metrics(algebras, bad):
+    s = np.eye(6)
+    s[0, 0] = bad
+    with pytest.raises(ValueError, match=r"metric has non-finite entries at \[\(0, 0\)\]"):
+        levi_civita(algebras[1], s)
+
+
 def test_pairing_flat_identity_not(algebras):
     g = algebras[2]
     p = pairing_metric(2, exact=True)

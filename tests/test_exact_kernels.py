@@ -72,6 +72,12 @@ def _ref_bracket(g, x, y):
     return out
 
 
+def _ref_ad(g, u):
+    """ad(b_u) as a dense Fraction matrix: column j is [b_u, b_j]."""
+    e = fmat(np.eye(g.dim, dtype=int))
+    return np.array([_ref_bracket(g, e[u], e[j]) for j in range(g.dim)]).T
+
+
 def _ref_levi_civita(g, s):
     d = g.dim
     rhs = fzeros((d, d, d))
@@ -101,7 +107,7 @@ def _ref_riemann(g, gamma):
 
 def _ref_ricci_summands(g, s):
     d = g.dim
-    ads = [g.ad_basis(u, exact=True) for u in range(d)]
+    ads = [_ref_ad(g, u) for u in range(d)]
     adstar = [_ref_inv(s) @ a.T @ s for a in ads]
     ju = [np.array([adstar[w][:, u] for w in range(d)]).T for u in range(d)]
     one = np.array([[Fraction(-1, 4) * (ju[u] * ju[v].T).sum() for v in range(d)] for u in range(d)])
@@ -111,13 +117,14 @@ def _ref_ricci_summands(g, s):
 
 def _ref_bracket_defect(m, g):
     d = g.dim
+    e = fmat(np.eye(d, dtype=int))
     return max(abs(x) for i in range(d) for j in range(i + 1, d)
-               for x in m @ g.bracket_basis(i, j) - _ref_bracket(g, m[:, i], m[:, j]))
+               for x in m @ _ref_bracket(g, e[i], e[j]) - _ref_bracket(g, m[:, i], m[:, j]))
 
 
 def _ref_ad_invariance_defect(g, s):
     return max(abs(x) for u in range(g.dim)
-               for a in [g.ad_basis(u, exact=True)] for x in (a.T @ s + s @ a).ravel())
+               for a in [_ref_ad(g, u)] for x in (a.T @ s + s @ a).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heiscot._exact import field, field_of, fmat, inv, maxabs, negligible
+from heiscot._exact import field, field_of, inv, maxabs, negligible
 from heiscot.automorphism import random_automorphism
 from heiscot.complex_structures import (
     FamilyParams,
@@ -157,10 +157,8 @@ def same_params(p, q):
 
 def coupling_block(n, exact, seed=0):
     rng = np.random.default_rng(seed)
-    a, b = (rng.integers(-3, 4, size=(n, n)) for _ in range(2))
-    if exact:
-        return anticommuting_block(fmat(a), fmat(b), exact=True)
-    return anticommuting_block(a.astype(float), b.astype(float))
+    a, b = (field(exact).array(rng.integers(-3, 4, size=(n, n))) for _ in range(2))
+    return anticommuting_block(a, b)
 
 
 NS = [1, 2, 3, 4]
@@ -174,15 +172,17 @@ EXACTS = [True, False]
 @pytest.mark.parametrize("exact", EXACTS)
 @pytest.mark.parametrize("n", NS)
 def test_builders_match_reference_layouts(n, exact):
+    """The data carries the field: n2 as field(exact).scalar, the block from coupling_block."""
+    scalar = field(exact).scalar
     assert same_matrix(standard_complex_structure(n, exact=exact), ref_standard(n, exact=exact))
     for signs in itertools.product((1, -1), repeat=n):
         for n2 in (1.0, Fraction(-5, 3)):
-            assert same_matrix(signed_plane_member(n, signs, n2, exact=exact),
+            assert same_matrix(signed_plane_member(n, signs, scalar(n2)),
                                ref_signed(n, signs, n2, exact=exact))
     fam = IntegrableFamily(n)
     for eps, n2, jbar3 in itertools.product((1, -1), (1, Fraction(3, 2), Fraction(-2, 7)),
                                             (None, coupling_block(n, exact))):
-        assert same_matrix(fam.member(eps, n2, jbar3, exact=exact),
+        assert same_matrix(fam.member(eps, scalar(n2), jbar3),
                            ref_member(n, eps, n2, jbar3, exact=exact))
 
 
@@ -236,7 +236,7 @@ def test_match_family_agrees_with_reference_on_samples(n):
         assert got.epsilon == params.epsilon and got.n2 == params.n2
     for exact in EXACTS:
         for eps, jbar3 in itertools.product((1, -1), (None, coupling_block(n, exact, seed=n))):
-            j = fam.member(eps, Fraction(-7, 3), jbar3, exact=exact)
+            j = fam.member(eps, field(exact).scalar(Fraction(-7, 3)), jbar3)
             got = match_family(j, n)
             assert got is not None and same_params(got, ref_match(j, n))
 
@@ -248,7 +248,7 @@ def test_match_family_agrees_with_reference_on_conjugates(n, exact):
     rng = np.random.default_rng(200 + n)
     fam = IntegrableFamily(n)
     for eps in (1, -1):
-        j = fam.member(eps, Fraction(3, 2), coupling_block(n, exact), exact=exact)
+        j = fam.member(eps, Fraction(3, 2), coupling_block(n, exact))
         f = random_automorphism(n, g, rng=rng, exact=exact).matrix
         jc = inv(f) @ j @ f if exact else np.linalg.solve(f, j @ f)
         assert same_params(match_family(jc, n), ref_match(jc, n))
@@ -259,7 +259,7 @@ def test_match_family_agrees_with_reference_on_conjugates(n, exact):
 def test_match_family_agrees_with_reference_on_perturbed_members(n, exact):
     """Every single-entry perturbation is rejected; the block list agrees
     everywhere except on the entries it never read."""
-    j = IntegrableFamily(n).member(-1, Fraction(5, 4), coupling_block(n, exact), exact=exact)
+    j = IntegrableFamily(n).member(-1, Fraction(5, 4), coupling_block(n, exact))
     delta = Fraction(1, 1000) if exact else 1e-3
     missed = missed_by_ref(n)
     d = 4 * n + 2

@@ -8,20 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heiscot._exact import fzeros, to_float
-from heiscot.complex_structures import standard_complex_structure
+from heiscot.complex_structures import is_hermitian, standard_complex_structure
 from heiscot.curvature import is_flat, levi_civita, ricci_from_riemann, riemann, signature
 from heiscot.forms_kahler import (
     DegenerateOmega,
     OmegaParams,
     build_omega,
     certify_pseudo_kahler,
-    closed_invariant_dimension,
     closed_invariant_space,
     closure_defect,
     d_one_form,
     d_two_form,
     is_closed,
-    j_invariant,
     omega_parameter_count,
     pseudo_kahler_metric,
     random_omega_params,
@@ -75,7 +73,6 @@ def test_d_squared_zero(algebras, rng, n):
 def test_closed_invariant_dimension(n):
     space = closed_invariant_space(n)
     assert len(space) == TRUE_DIMS[n]
-    assert closed_invariant_dimension(n) == TRUE_DIMS[n]
     assert omega_parameter_count(n) == TRUE_DIMS[n]
 
 
@@ -86,7 +83,7 @@ def test_space_members_closed_and_invariant(algebras, n):
     for w in closed_invariant_space(n):
         assert closure_defect(w, g) == 0
         assert is_closed(w, g)
-        assert j_invariant(w, j0)
+        assert is_hermitian(j0, w)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -112,13 +109,19 @@ def test_template_spans_space(n):
 def test_omega_params_validation():
     # a1 must be antisymmetric; a nonzero 1x1 block is not
     with pytest.raises(ValueError):
-        OmegaParams(n=1, a1=np.array([[1.0]]), exact=False).blocks()
+        OmegaParams(n=1, a1=np.array([[1.0]])).blocks()
     # the two extra coefficients exist only at n = 1
     with pytest.raises(ValueError):
         OmegaParams(n=2, c1=1.0).blocks()
     # d is an (n, n) matrix; a length-n vector is not promoted to a diagonal
     with pytest.raises(ValueError, match="block shape"):
         OmegaParams(n=2, d=np.array([1.0, 2.0])).blocks()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_omega_is_a_domain_error(bad):
+    with pytest.raises(ValueError, match=r"2-form has non-finite entries at \[\(0, 0\), .* and 32 more"):
+        pseudo_kahler_metric(np.full((6, 6), bad), 1)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -129,12 +132,12 @@ def test_build_omega_closed_invariant_exact(algebras, rng, n):
         params = random_omega_params(n, rng)
         w = build_omega(params)
         assert closure_defect(w, g) == 0
-        assert j_invariant(w, j0)
+        assert is_hermitian(j0, w)
         assert (w + w.T == 0).all()
 
 
 def test_degenerate_omega_rejected():
-    params = OmegaParams(n=1, mu=Fraction(0), exact=True)   # zero form
+    params = OmegaParams(n=1, mu=Fraction(0))   # zero form
     w = build_omega(params)
     with pytest.raises(DegenerateOmega):
         pseudo_kahler_metric(w, 1)
@@ -143,7 +146,7 @@ def test_degenerate_omega_rejected():
 @pytest.mark.parametrize("n", [1, 2])
 def test_metric_roundtrip_sign(n):
     """S(x, y) = Omega(J0 x, y) and Omega(x, y) = S(x, J0 y)."""
-    params = OmegaParams(n=n, mu=Fraction(1), exact=True)
+    params = OmegaParams(n=n, mu=Fraction(1))
     w = build_omega(params)
     s = pseudo_kahler_metric(w, n)
     j0 = standard_complex_structure(n, exact=True)
@@ -154,7 +157,7 @@ def test_metric_roundtrip_sign(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mu_metric_certificate(n):
-    params = OmegaParams(n=n, mu=Fraction(1), exact=True)
+    params = OmegaParams(n=n, mu=Fraction(1))
     rep = certify_pseudo_kahler(params)
     assert rep["nondegenerate"] and rep["ricci_zero"] and rep["summands_zero"]
     assert rep["routes_agree"] and not rep["flat"]
@@ -179,7 +182,7 @@ def test_random_certificates(rng, n):
 
 def test_nonflat_witness_value():
     """R(e1, f1) e1 = 2 e*_1 for the unit mu form, exactly."""
-    params = OmegaParams(n=1, mu=Fraction(1), exact=True)
+    params = OmegaParams(n=1, mu=Fraction(1))
     w = build_omega(params)
     s = pseudo_kahler_metric(w, 1)
     g = build_thn(1)
@@ -193,7 +196,7 @@ def test_nonflat_witness_value():
 @settings(max_examples=10, deadline=None)
 @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3))
 def test_mu_scaling_stays_ricci_flat(c1, c2, mu):
-    params = OmegaParams(n=1, mu=Fraction(mu), c1=Fraction(c1), c2=Fraction(c2), exact=True)
+    params = OmegaParams(n=1, mu=Fraction(mu), c1=Fraction(c1), c2=Fraction(c2))
     try:
         rep = certify_pseudo_kahler(params)
     except DegenerateOmega:

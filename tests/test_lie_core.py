@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heiscot._exact import feye
 from heiscot.lie_core import (
     build_heisenberg,
     build_thn,
@@ -25,18 +26,19 @@ def test_bracket_table(algebras, n):
     g = algebras[n]
     d = 4 * n + 2
     zs, z = 2 * n, d - 1
+    e = feye(d)
     for i in range(n):
         ei, fi = i, n + i
         es, fs = 2 * n + 1 + i, 3 * n + 1 + i
-        v = g.bracket_basis(ei, fi)
+        v = g.bracket(e[ei], e[fi])
         assert v[z] == 1 and sum(x != 0 for x in v) == 1
-        v = g.bracket_basis(zs, ei)
+        v = g.bracket(e[zs], e[ei])
         assert v[fs] == 1 and sum(x != 0 for x in v) == 1
-        v = g.bracket_basis(zs, fi)
+        v = g.bracket(e[zs], e[fi])
         assert v[es] == -1 and sum(x != 0 for x in v) == 1
     # cross-plane products vanish
     if n >= 2:
-        assert not any(g.bracket_basis(0, n + 1))
+        assert not any(g.bracket(e[0], e[n + 1]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -85,7 +87,7 @@ def test_derivations_are_derivations(algebras):
         for dm in derivation_algebra(g):
             for i in range(d):
                 for j in range(i + 1, d):
-                    lhs = dm @ g.bracket_basis(i, j)
+                    lhs = dm @ g.bracket(_unit(d, i), _unit(d, j))
                     rhs = g.bracket(dm[:, i], _unit(d, j)) + g.bracket(_unit(d, i), dm[:, j])
                     assert (lhs == rhs).all()
 
@@ -106,9 +108,10 @@ def test_bracket_bilinear_antisymmetric(a, b, data):
 
 def test_two_step_bracket_into_center(algebras):
     g = algebras[2]
+    e = feye(g.dim)
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            v = g.bracket_basis(i, j)
+            v = g.bracket(e[i], e[j])
             assert not any(v[: 2 * 2 + 1]), "brackets must land in the center"
 
 

@@ -215,11 +215,18 @@ def _without_s2(s):
     return s
 
 
+def _wide_positive_definite(g, rng):
+    """A A^T + 9 dim E with N(0, 3) entries: a wider draw than random_positive_definite."""
+    d = g.dim
+    a = 3.0 * rng.standard_normal((d, d))
+    return a @ a.T + d * 9.0 * np.eye(d)
+
+
 def test_center_pairing_kills_t1_and_t4(algebras):
     g = algebras[1]
     rng = np.random.default_rng(7)
     for k in range(200):
-        s = _without_s2(random_positive_definite(g, rng, spread=3.0 if k % 2 else 1.0))
+        s = _without_s2(_wide_positive_definite(g, rng) if k % 2 else random_positive_definite(g, rng))
         moved = act(metric_moduli._center_pairing(s, g), s)
         _, t1, _, _, t4, _, _ = split_blocks(moved, 1)
         scale = max(1.0, np.abs(s).max())

@@ -91,8 +91,7 @@ def ref_extract(omega, n):
             a2[i, j] = omega[i, n + j] if i <= j else omega[j, n + i]
     c1 = omega[0, zs] if n == 1 else zero
     c2 = omega[n, zs] if n == 1 else zero
-    return OmegaParams(n=n, a1=a1, a2=a2, k=k, d=dm, mu=omega[zs, z],
-                       c1=c1, c2=c2, exact=fld.exact)
+    return OmegaParams(n=n, a1=a1, a2=a2, k=k, d=dm, mu=omega[zs, z], c1=c1, c2=c2)
 
 
 # ---------------------------------------------------------------------------
