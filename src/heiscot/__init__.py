@@ -36,12 +36,10 @@ from .lie_core import (
     standard_symplectic,
 )
 from .automorphism import (
-    AutParams,
     Automorphism,
     assemble,
     aut_parameter_dimension,
     bracket_defect,
-    identity_params,
     is_automorphism,
     random_automorphism,
     symplectic_rotation,

@@ -21,15 +21,14 @@ rather than trusting the argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from . import _exact
 from ._exact import SparseQ, ad, congruence_defect, field, field_of, is_exact, maxabs, negligible
-from .automorphism import Automorphism, assemble, identity_params
+from .automorphism import Automorphism, assemble
 from .curvature import is_flat, levi_civita, riemann
 from .lie_core import LieAlgebra
 
@@ -63,20 +62,14 @@ def pairing_metric(n: int, exact: bool = False) -> np.ndarray:
 def ad_invariance_defect(g: LieAlgebra, s: np.ndarray):
     """max |<[x,y],w> + <y,[x,w]>| over basis triples, i.e. max |ad_x^T s + s ad_x|.
 
-    A Fraction for exact input, a float otherwise.
+    A Fraction for exact input, a float otherwise (NaN when s has a NaN).
     """
     if is_exact(s):
         sq = SparseQ.from_dense(s)
-        worst = Fraction(0)
-        for x in range(g.dim):
-            ax = ad(g, {x: 1})
-            worst = max(worst, (ax.T @ sq + sq @ ax).maxabs())
-        return worst
-    worst = 0.0
-    for x in range(g.dim):
-        ax = g.structure_tensor[x].T.copy()
-        worst = max(worst, float(np.abs(ax.T @ s + s @ ax).max()))
-    return worst
+        return maxabs([(ax.T @ sq + sq @ ax).maxabs()
+                       for ax in (ad(g, {x: 1}) for x in range(g.dim))])
+    return maxabs([maxabs(ax.T @ s + s @ ax)
+                   for ax in (g.structure_tensor[x].T.copy() for x in range(g.dim))])
 
 
 def is_ad_invariant(g: LieAlgebra, s: np.ndarray) -> bool:
@@ -197,7 +190,7 @@ def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra) -> NormalizedAdInvarian
     f1_block[m - 1, m - 1] = f1
     sbar = s[:m, :m]
     f3 = -(one / (2 * alpha)) * (sbar @ f1_block)
-    aut = assemble(replace(identity_params(n, fld.exact), f1=f1, F3=f3), g)
+    aut = assemble(g, f1=f1, F3=f3)
     residual = congruence_defect(aut.matrix, s, pairing_metric(n, exact=fld.exact))
     if not negligible(residual, 1e-12, s):
         raise ValueError(f"normalization residual {residual} out of tolerance")

@@ -21,22 +21,20 @@ checked fact, not an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
 
 from . import _exact
-from ._exact import field, field_of, maxabs, negligible
+from ._exact import congruence_defect, field, field_of, maxabs, negligible
 from .lie_core import LieAlgebra, standard_symplectic
 
 __all__ = [
-    "AutParams",
     "Automorphism",
     "assemble",
     "bracket_defect",
-    "identity_params",
     "is_automorphism",
     "symplectic_rotation",
     "random_automorphism",
@@ -46,58 +44,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AutParams:
-    """Free block data of an automorphism.
-
-    Fbar1 : (2n, 2n) conformal symplectic matrix; fixes f4.
-    u1, v1 : length-2n vectors (u1 must be zero unless n = 1).
-    f1 : nonzero scalar.
-    F3 : (2n+1, 2n+1) arbitrary matrix.
-    """
-
-    Fbar1: np.ndarray
-    u1: np.ndarray
-    v1: np.ndarray
-    f1: object
-    F3: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.Fbar1.shape[0] // 2
-
-    @property
-    def exact(self) -> bool:
-        """Whether all five blocks are exact; see :func:`heiscot._exact.field_of`."""
-        return field_of(self.Fbar1, self.u1, self.v1, self.f1, self.F3).exact
-
-    def f4(self):
-        """Conformal factor from Fbar1^T J Fbar1 = f4 J; raises if the identity fails (at 1e-12)."""
-        n = self.n
-        fld = field(self.exact)
-        j = standard_symplectic(n, exact=fld.exact)
-        fb1 = fld.array(self.Fbar1)
-        m = fb1.T @ j @ fb1
-        f4 = m[0, n] / j[0, n]
-        if not negligible(maxabs(m - f4 * j), 1e-12, m):
-            raise ValueError("Fbar1 is not conformal symplectic")
-        if f4 == 0:
-            raise ValueError("conformal factor f4 must be nonzero")
-        return f4
-
-
-@dataclass(frozen=True)
 class Automorphism:
-    """A verified automorphism matrix, with block provenance when assembled."""
+    """A verified automorphism matrix."""
 
     matrix: np.ndarray
-    n: int
-    params: AutParams | None = None
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(matrix=field_of(self.matrix).inv(self.matrix), n=self.n)
+        return Automorphism(field_of(self.matrix).inv(self.matrix))
 
     def __matmul__(self, other: "Automorphism") -> "Automorphism":
-        return Automorphism(matrix=self.matrix @ other.matrix, n=self.n)
+        return Automorphism(self.matrix @ other.matrix)
 
 
 def bracket_defect(m: np.ndarray, g: LieAlgebra):
@@ -156,34 +112,66 @@ def is_automorphism(m: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> bool:
     return negligible(bracket_defect(m, g), tol, m, power=2)
 
 
-def assemble(params: AutParams, g: LieAlgebra) -> Automorphism:
-    """Build the full (4n+2) x (4n+2) automorphism from block data.
+def _conformal_factor(fb1: np.ndarray, j: np.ndarray):
+    """f4 from Fbar1^T J Fbar1 = f4 J; raises unless that holds (exactly, or at 1e-12)."""
+    n = len(fb1) // 2
+    if _exact.is_exact(fb1):
+        # J[0, n] = -1, so one bilinear form gives f4; the rest is checked over SparseQ
+        f4 = -(fb1[:, 0] @ j @ fb1[:, n])
+        conformal = congruence_defect(fb1, j, f4 * j) == 0
+    else:
+        m = fb1.T @ j @ fb1
+        f4 = m[0, n] / j[0, n]
+        conformal = negligible(maxabs(m - f4 * j), 1e-12, m)
+    if not conformal:
+        raise ValueError("Fbar1 is not conformal symplectic")
+    if f4 == 0:
+        raise ValueError("conformal factor f4 must be nonzero")
+    return f4
 
+
+def assemble(g: LieAlgebra, *, Fbar1=None, u1=None, v1=None, f1=1, F3=None) -> Automorphism:
+    """Build the full (4n+2) x (4n+2) automorphism of g = T*h(2n+1) from block data.
+
+    Fbar1 : (2n, 2n) conformal symplectic matrix; fixes f4.
+    u1, v1 : length-2n vectors (u1 must be zero unless n = 1).
+    f1 : nonzero scalar.
+    F3 : (2n+1, 2n+1) arbitrary matrix.
+
+    A block left out is the identity's (Fbar1 = Id, f1 = 1, the others 0).
     The determined blocks (F4, u4, v4, f4) are filled in and bracket
-    preservation is re-verified before returning.  Exact blocks give an
-    exact automorphism and check; if any block is float, all are coerced
-    to float and checked at 1e-12.
+    preservation is re-verified before returning.  The blocks given choose
+    the field (:func:`heiscot._exact.field_of`): exact blocks give an exact
+    automorphism and check; if any block is float, all are coerced to
+    float and checked at 1e-12.
 
     Raises
     ------
     ValueError
-        If Fbar1 is not conformal symplectic, f1 = 0, F1 is singular,
-        or the assembled matrix fails the bracket test (in particular
-        for any nonzero u1 with n >= 2).
+        If g is not T*h(2n+1), a block has the wrong shape, Fbar1 is not
+        conformal symplectic, f1 = 0, F1 is singular, or the assembled
+        matrix fails the bracket test (in particular for any nonzero u1
+        with n >= 2).
     """
-    n = params.n
-    if g.n != n or g.dim != 4 * n + 2:
-        raise ValueError("algebra/params dimension mismatch")
-    fld = field(params.exact)
-    f4 = params.f4()
-    f1 = fld.scalar(params.f1)
+    n = g.n
+    if n is None or g.dim != 4 * n + 2:
+        raise ValueError("algebra dimension mismatch: assemble needs T*h(2n+1)")
+    m = 2 * n + 1
+    shapes = {"Fbar1": (2 * n, 2 * n), "u1": (2 * n,), "v1": (2 * n,), "f1": (), "F3": (m, m)}
+    for name, block in zip(shapes, (Fbar1, u1, v1, f1, F3)):
+        if block is not None and np.shape(block) != shapes[name]:
+            raise ValueError(f"block {name} has shape {np.shape(block)}, "
+                             f"expected {shapes[name]} for n = {n}")
+    fld = field_of(Fbar1, u1, v1, f1, F3)
+    fb1 = fld.eye(2 * n) if Fbar1 is None else fld.array(Fbar1)
+    u1 = fld.zeros(2 * n) if u1 is None else fld.array(u1)
+    v1 = fld.zeros(2 * n) if v1 is None else fld.array(v1)
+    f1 = fld.scalar(f1)
+    f3 = fld.zeros((m, m)) if F3 is None else fld.array(F3)
+    j = standard_symplectic(n, exact=fld.exact)
+    f4 = _conformal_factor(fb1, j)
     if f1 == 0:
         raise ValueError("f1 must be nonzero")
-    j = standard_symplectic(n, exact=fld.exact)
-    fb1 = fld.array(params.Fbar1)
-    u1 = fld.array(params.u1)
-    v1 = fld.array(params.v1)
-    f3 = fld.array(params.F3)
 
     fb1_inv = fld.inv(fb1)
     # det F1 = det(Fbar1) (f1 - u1^T Fbar1^{-1} v1); reject singular F1 early
@@ -196,7 +184,6 @@ def assemble(params: AutParams, g: LieAlgebra) -> Automorphism:
     u4 = -f4 * (fb1_inv @ v1)
 
     d = 4 * n + 2
-    m = 2 * n + 1
     out = fld.zeros((d, d))
     out[: 2 * n, : 2 * n] = fb1
     out[: 2 * n, 2 * n] = v1
@@ -214,18 +201,7 @@ def assemble(params: AutParams, g: LieAlgebra) -> Automorphism:
         if n >= 2 and any(x != 0 for x in u1):
             hint = " (u1 must vanish for n >= 2: the center-pairing constraints admit no nonzero solution)"
         raise ValueError(f"assembled matrix fails bracket preservation, defect {defect}{hint}")
-    return Automorphism(matrix=out, n=n, params=params)
-
-
-def identity_params(n: int, exact: bool = False) -> AutParams:
-    fld = field(exact)
-    return AutParams(
-        Fbar1=fld.eye(2 * n),
-        u1=fld.zeros(2 * n),
-        v1=fld.zeros(2 * n),
-        f1=fld.scalar(1),
-        F3=fld.zeros((2 * n + 1, 2 * n + 1)),
-    )
+    return Automorphism(out)
 
 
 def symplectic_rotation(angles, g: LieAlgebra) -> Automorphism:
@@ -246,7 +222,7 @@ def symplectic_rotation(angles, g: LieAlgebra) -> Automorphism:
         fb1[n + i, i] = -s
         fb1[i, n + i] = s
         fb1[n + i, n + i] = c
-    return assemble(replace(identity_params(n), Fbar1=fb1), g)
+    return assemble(g, Fbar1=fb1)
 
 
 def random_conformal_symplectic(n: int, rng: np.random.Generator,
@@ -288,9 +264,8 @@ def random_automorphism(n: int, g: LieAlgebra, rng: np.random.Generator,
         f1_int = int(rng.integers(1, 4)) * (1 if rng.integers(0, 2) else -1)
         f1 = fld.scalar(f1_int) / 2
         f3 = fld.array(rng.integers(-2, 3, size=(2 * n + 1, 2 * n + 1)))
-        params = AutParams(Fbar1=fb1, u1=u1, v1=v1, f1=f1, F3=f3)
         try:
-            aut = assemble(params, g)
+            aut = assemble(g, Fbar1=fb1, u1=u1, v1=v1, f1=f1, F3=f3)
         except ValueError:
             # f1 - u1^T Fbar1^{-1} v1 = 0 on a measure-zero set of draws
             continue

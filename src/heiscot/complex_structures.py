@@ -51,7 +51,7 @@ conjugating J to J0.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -60,7 +60,7 @@ from scipy.linalg import lstsq
 from . import _exact
 from ._exact import (SparseQ, ad, congruence_defect, feye, field, field_of, maxabs, negligible,
                      signed_permutation, to_float)
-from .automorphism import Automorphism, _pair_tables, assemble, identity_params, is_automorphism
+from .automorphism import Automorphism, _pair_tables, assemble, is_automorphism
 from .lie_core import LieAlgebra, standard_symplectic
 
 __all__ = [
@@ -363,7 +363,7 @@ def sign_reversing_automorphism(n: int, g: LieAlgebra) -> Automorphism:
     fb1 = feye(2 * n)
     for i in range(n):
         fb1[n + i, n + i] = -fb1[n + i, n + i]
-    return assemble(replace(identity_params(n, exact=True), Fbar1=fb1), g)
+    return assemble(g, Fbar1=fb1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,7 @@ def _normalize_template(j: np.ndarray, g: LieAlgebra,
     f3 = fld.zeros((m, m))
     f3[: 2 * n, : 2 * n] = -(params.epsilon * half) * (np.asarray(params.jbar3) @ jb)
     f1 = params.epsilon * fld.scalar(params.n2)
-    aut = assemble(replace(identity_params(n, fld.exact), f1=f1, F3=f3), g)
+    aut = assemble(g, f1=f1, F3=f3)
     fm = aut.matrix
     j0 = standard_complex_structure(n, exact=fld.exact)
     resid = maxabs(fld.solve(fm, j @ fm) - params.epsilon * j0)

@@ -196,6 +196,7 @@ def ricci_nilpotent_summands(g: LieAlgebra, s: np.ndarray) -> tuple[np.ndarray, 
                 one[u, v] = one[v, u] = Fraction(-1, 4) * ju[u].trace_of_product(ju[v])
                 two[u, v] = two[v, u] = Fraction(-1, 2) * ads[u].trace_of_product(adstar[v])
         return one, two
+    require_finite(s, "metric")
     sinv = np.linalg.inv(s)
     ad_f = [g.structure_tensor[u].T.copy() for u in range(d)]
     adstar = [sinv @ a.T @ s for a in ad_f]
@@ -232,6 +233,7 @@ def signature(s: np.ndarray) -> tuple[int, int, int]:
     """
     if is_exact(s):
         return ldl_inertia(s)
+    require_finite(s, "matrix")
     w = np.linalg.eigvalsh(s)
     scale = max(np.abs(w).max(), 1.0)
     pos = int((w > 1e-9 * scale).sum())
@@ -243,15 +245,15 @@ def torsion_defect(g: LieAlgebra, gamma: np.ndarray):
     """max |nabla_i j - nabla_j i - [b_i, b_j]|; zero for Levi-Civita."""
     d = g.dim
     fld = field_of(gamma)
-    worst = 0.0
+    pairs = []
     for i in range(d):
         for j in range(i + 1, d):
             diff = gamma[i, j, :] - gamma[j, i, :]
             for (k, v) in g.bracket_sparse(i, j):
                 diff = diff.copy()
                 diff[k] -= fld.scalar(v)
-            worst = max(worst, maxabs(diff))
-    return worst
+            pairs.append(maxabs(diff))
+    return maxabs(pairs)
 
 
 def compatibility_defect(g: LieAlgebra, s: np.ndarray, gamma: np.ndarray):
@@ -260,25 +262,14 @@ def compatibility_defect(g: LieAlgebra, s: np.ndarray, gamma: np.ndarray):
     Left-invariant inner products of left-invariant fields are constant,
     so metric compatibility is exactly the vanishing of this quantity.
     """
-    d = g.dim
-    worst = 0.0
-    for i in range(d):
-        # m[j, k] = <nabla_i b_j, b_k>; compatibility says m is skew
-        m = gamma[i] @ s
-        worst = max(worst, maxabs(m + m.T))
-    return worst
+    # m[j, k] = <nabla_i b_j, b_k>; compatibility says m is skew
+    return maxabs([maxabs(m + m.T) for m in (gamma[i] @ s for i in range(g.dim))])
 
 
 def first_bianchi_defect(riem: np.ndarray):
     """max |R(x,y)z + R(y,z)x + R(z,x)y| over basis triples."""
-    d = riem.shape[0]
-    worst = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                cyc = riem[i, j, k, :] + riem[j, k, i, :] + riem[k, i, j, :]
-                worst = max(worst, maxabs(cyc))
-    return worst
+    return maxabs([maxabs(riem[i, j, k, :] + riem[j, k, i, :] + riem[k, i, j, :])
+                   for i, j, k in combinations(range(riem.shape[0]), 3)])
 
 
 def second_bianchi_defect(g: LieAlgebra, gamma: np.ndarray, riem: np.ndarray):

@@ -34,7 +34,7 @@ partially reduced data in every case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -45,7 +45,6 @@ from .lie_core import LieAlgebra, standard_symplectic
 from .automorphism import (
     Automorphism,
     assemble,
-    identity_params,
     is_automorphism,
     symplectic_rotation,
 )
@@ -268,9 +267,9 @@ def _center_pairing(s: np.ndarray, g: LieAlgebra) -> Automorphism:
     n = g.n
     if n == 1:
         u1, v1 = _center_pairings(s)[0]
-        return assemble(replace(identity_params(n), u1=u1, v1=v1), g)
+        return assemble(g, u1=u1, v1=v1)
     s1b, t1, _, _, _, _, _ = split_blocks(s, n)
-    return assemble(replace(identity_params(n), v1=-np.linalg.solve(s1b, t1)), g)
+    return assemble(g, v1=-np.linalg.solve(s1b, t1))
 
 
 def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
@@ -296,14 +295,14 @@ def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
     if np.linalg.eigvalsh(s).min() <= 0:
         raise NonPositiveDefinite("metric is not positive definite")
 
-    f_total = Automorphism(matrix=np.eye(d), n=n)
+    f_total = Automorphism(np.eye(d))
     cur = s.copy()
 
     # step 1: Schur-complement kill of S2
     s2 = cur[:m, m:]
     s4 = cur[m:, m:]
     f3 = -np.linalg.solve(s4, s2.T)
-    step = assemble(replace(identity_params(n), F3=f3), g)
+    step = assemble(g, F3=f3)
     f_total = f_total @ step
     cur = _sym(act(step, cur))
 
@@ -317,7 +316,7 @@ def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
     fbar, sigma = williamson(s1b)
     fbar = fbar / np.sqrt(sigma[-1])
     f1 = 1.0 / np.sqrt(om1)
-    step = assemble(replace(identity_params(n), Fbar1=fbar, f1=f1), g)
+    step = assemble(g, Fbar1=fbar, f1=f1)
     f_total = f_total @ step
     cur = _sym(act(step, cur))
 
@@ -507,7 +506,7 @@ def _residual_group_matches(r1: ReductionResult, r2: ReductionResult, g: LieAlge
         hits = np.flatnonzero(np.abs(moved - b).max(axis=(1, 2)) <= bound)
         if hits.size:
             k = start + hits[0]
-            return Automorphism(matrix=_signed_matrix(perms[k], signs[k]), n=g.n)
+            return Automorphism(_signed_matrix(perms[k], signs[k]))
     return None
 
 
@@ -545,7 +544,7 @@ def are_equivalent(s1: np.ndarray, s2: np.ndarray, g: LieAlgebra) -> Equivalence
     rot = _residual_group_matches(r1, r2, g, _EQUIV_TOL)
     if rot is not None:
         w_mat = r1.automorphism.matrix @ rot.matrix @ np.linalg.inv(r2.automorphism.matrix)
-        witness = Automorphism(matrix=w_mat, n=n)
+        witness = Automorphism(w_mat)
         if is_automorphism(w_mat, g, tol=1e-9) and \
                 negligible(maxabs(act(witness, s1) - s2), 10 * _EQUIV_TOL, s2):
             return EquivalenceResult("equivalent", witness, detail)

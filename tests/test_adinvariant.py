@@ -36,6 +36,12 @@ def test_solution_space_is_ad_invariant_and_templated(algebras, n):
         assert defect == 0
 
 
+def test_a_nan_metric_is_not_ad_invariant(algebras):
+    nan = np.full((6, 6), np.nan)
+    assert np.isnan(ad_invariance_defect(algebras[1], nan))
+    assert not is_ad_invariant(algebras[1], nan)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pairing_is_ad_invariant_neutral(algebras, n):
     g = algebras[n]

@@ -8,7 +8,6 @@ float, so a predicate that sizes a float tolerance for exact input raises
 ``OverflowError``; each one must decide such input instead.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +16,7 @@ import pytest
 from heiscot import _exact
 from heiscot._exact import EXACT, FLOAT, feye, field, field_of, fmat, fzeros, negligible
 from heiscot.adinvariant import normalize_ad_invariant, pairing_metric
-from heiscot.automorphism import AutParams, assemble, identity_params, is_automorphism
+from heiscot.automorphism import assemble, is_automorphism
 from heiscot.complex_structures import (
     IntegrableFamily,
     anticommuting_block,
@@ -129,12 +128,16 @@ def _member(eps):
     return IntegrableFamily(1).member(1, Fraction(3, 2), jbar3)
 
 
-def _params(n, eps, block, at):
-    p = identity_params(n, exact=True)
-    fields = {"Fbar1": p.Fbar1, "u1": p.u1, "v1": p.v1, "f1": p.f1, "F3": p.F3}
-    fields[block] = fields[block].copy()
-    fields[block][at] += eps
-    return AutParams(**fields)
+def _identity_blocks(n):
+    """Every block of the identity automorphism, exact."""
+    return {"Fbar1": feye(2 * n), "u1": fzeros(2 * n), "v1": fzeros(2 * n),
+            "f1": Fraction(1), "F3": fzeros((2 * n + 1, 2 * n + 1))}
+
+
+def _blocks(n, eps, block, at):
+    blocks = _identity_blocks(n)
+    blocks[block][at] += eps
+    return blocks
 
 
 def _metric(eps, at, base=None):
@@ -164,9 +167,10 @@ ACCEPTS = {
     "matches_omega_template": lambda eps: matches_omega_template(_omega(eps, (0, 5)), 1),
     "OmegaParams.blocks": lambda eps: not _rejects(
         lambda: OmegaParams(n=1, a1=fmat([[0]]) + eps).blocks()),
-    "AutParams.f4": lambda eps: not _rejects(lambda: _params(2, eps, "Fbar1", (0, 0)).f4()),
+    "assemble.f4": lambda eps: not _rejects(
+        lambda: assemble(build_thn(2), **_blocks(2, eps, "Fbar1", (0, 0)))),
     "assemble": lambda eps: not _rejects(
-        lambda: assemble(_params(2, eps, "u1", 0), build_thn(2))),
+        lambda: assemble(build_thn(2), **_blocks(2, eps, "u1", 0))),
     "is_automorphism": lambda eps: is_automorphism(_metric(eps, (5, 5)), build_thn(1)),
     "is_flat": lambda eps: is_flat(_curvature_tensor(eps)),
     "normalize_ad_invariant": lambda eps: not _rejects(
@@ -180,11 +184,6 @@ def test_exact_predicate_sees_a_defect_below_float_resolution(name):
     accepts = ACCEPTS[name]
     assert accepts(0), "the unperturbed exact input is accepted"
     assert not accepts(TINY), "a nonzero exact defect is rejected"
-
-
-def _aut_params(n, scale):
-    p = identity_params(n, exact=True)
-    return AutParams(Fbar1=scale * p.Fbar1, u1=p.u1, v1=p.v1, f1=p.f1, F3=p.F3)
 
 
 def _huge_member(jbar3=None):
@@ -216,9 +215,12 @@ SCALED = {
     "OmegaParams.blocks": (
         lambda: not _rejects(lambda: OmegaParams(n=1, a2=fmat([[HUGE]])).blocks()),
         True),
-    # Fbar1 = 10^400 Id is conformal symplectic (f4 = 10^800), and assembles
-    "AutParams.f4": (lambda: not _rejects(lambda: _aut_params(2, HUGE).f4()), True),
-    "assemble": (lambda: not _rejects(lambda: assemble(_aut_params(2, HUGE), build_thn(2))), True),
+    # Fbar1 = 10^400 Id is conformal symplectic (f4 = 10^800), and assembles,
+    # alone and with every other block given
+    "assemble.f4": (lambda: not _rejects(lambda: assemble(build_thn(2), Fbar1=HUGE * feye(4))),
+                    True),
+    "assemble": (lambda: not _rejects(lambda: assemble(
+        build_thn(2), **{**_identity_blocks(2), "Fbar1": HUGE * feye(4)})), True),
     # 10^400 Id maps [x, y] to 10^400 [x, y], not to 10^800 [x, y]
     "is_automorphism": (lambda: is_automorphism(HUGE * feye(6), build_thn(1)), False),
     # the identity metric is not flat, so neither is 10^400 times its curvature
@@ -263,10 +265,9 @@ def _block(kind):
 
 
 def _aut(kind):
-    p = identity_params(2, exact=kind != "float")
-    f3 = p.F3.copy()
+    f3 = fzeros((5, 5)) if kind != "float" else np.zeros((5, 5))
     f3[0, 1] = Fraction(1, 3) if kind != "float" else 1 / 3
-    return assemble(replace(p, F3=f3, f1=0.5 if kind == "mixed" else p.f1), build_thn(2)).matrix
+    return assemble(build_thn(2), F3=f3, f1=0.5 if kind == "mixed" else 1).matrix
 
 
 # each builder on exact, float and mixed operands ("mixed": at least one float)
@@ -310,6 +311,6 @@ def test_exact_and_mixed_operands_keep_their_values():
     # a float corner is not certified as an exact Fraction
     j = IntegrableFamily(2).member(1, 0.1)
     assert j[4, 9] == 0.1 and type(integrability_report(j, build_thn(2))["pairwise_defect"]) is not Fraction
-    mixed = replace(identity_params(2, exact=True), f1=0.5)
-    assert not mixed.exact and assemble(mixed, build_thn(2)).matrix[4, 4] == 0.5
+    mixed = assemble(build_thn(2), Fbar1=feye(4), F3=fzeros((5, 5)), f1=0.5).matrix
+    assert mixed.dtype == np.float64 and mixed[4, 4] == 0.5
     assert not OmegaParams(n=2, mu=Fraction(1), c1=0.0).exact

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from heiscot._exact import feye, fmat, fzeros
 from heiscot.automorphism import (
-    AutParams,
     assemble,
     aut_parameter_dimension,
     bracket_defect,
-    identity_params,
     is_automorphism,
     random_automorphism,
     symplectic_rotation,
@@ -44,18 +42,16 @@ def test_group_closure(algebras, rng, n):
 def test_u1_free_only_for_n1(algebras):
     # n = 1: a nonzero u1 assembles; n = 2: the same shape is rejected
     g1 = algebras[1]
-    p = identity_params(1, exact=True)
-    u1 = p.u1.copy()
+    u1 = fzeros(2)
     u1[0] = Fraction(1)
-    a = assemble(AutParams(Fbar1=p.Fbar1, u1=u1, v1=p.v1, f1=p.f1, F3=p.F3), g1)
+    a = assemble(g1, u1=u1)
     assert is_automorphism(a.matrix, g1)
 
     g2 = algebras[2]
-    p = identity_params(2, exact=True)
-    u1 = p.u1.copy()
+    u1 = fzeros(4)
     u1[0] = Fraction(1)
     with pytest.raises(ValueError):
-        assemble(AutParams(Fbar1=p.Fbar1, u1=u1, v1=p.v1, f1=p.f1, F3=p.F3), g2)
+        assemble(g2, u1=u1)
 
 
 @pytest.mark.parametrize("n,expected", [(1, 18), (2, 41), (3, 78), (4, 127)])
@@ -71,9 +67,8 @@ def test_antisymplectic_factor_allowed(algebras):
     fb1 = feye(4)
     fb1[2, 2] = Fraction(-1)
     fb1[3, 3] = Fraction(-1)
-    p = identity_params(2, exact=True)
-    a = assemble(AutParams(Fbar1=fb1, u1=p.u1, v1=p.v1, f1=p.f1, F3=p.F3), g)
-    assert a.params.f4() == Fraction(-1)
+    a = assemble(g, Fbar1=fb1)
+    assert a.matrix[-1, -1] == -1 and type(a.matrix[-1, -1]) is Fraction
     assert is_automorphism(a.matrix, g)
 
 
@@ -85,9 +80,8 @@ def test_rotation_is_automorphism(algebras):
 
 def test_f1_zero_rejected(algebras):
     g = algebras[1]
-    p = identity_params(1, exact=True)
     with pytest.raises(ValueError):
-        assemble(AutParams(Fbar1=p.Fbar1, u1=p.u1, v1=p.v1, f1=Fraction(0), F3=p.F3), g)
+        assemble(g, f1=Fraction(0))
 
 
 @settings(max_examples=20, deadline=None)
@@ -108,7 +102,7 @@ def test_assembled_from_random_blocks(data):
     f3 = fzeros((3, 3))
     f3[0, 1] = Fraction(data.draw(st.integers(-2, 2)))
     try:
-        aut = assemble(AutParams(Fbar1=fb1, u1=u1, v1=v1, f1=f1, F3=f3), g)
+        aut = assemble(g, Fbar1=fb1, u1=u1, v1=v1, f1=f1, F3=f3)
     except ValueError:
         return   # degenerate F1 block, a measure-zero configuration
     assert bracket_defect(aut.matrix, g) == 0

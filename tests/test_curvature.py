@@ -127,6 +127,30 @@ def test_levi_civita_rejects_non_finite_metrics(algebras, bad):
         levi_civita(algebras[1], s)
 
 
+# a NaN must never read as a zero defect, nor reach LAPACK
+def test_torsion_defect_of_a_nan_connection_is_nan(algebras):
+    assert np.isnan(torsion_defect(algebras[1], np.full((6, 6, 6), np.nan)))
+
+
+def test_compatibility_defect_of_a_nan_metric_is_nan(algebras):
+    gamma = levi_civita(algebras[1], np.eye(6))
+    assert np.isnan(compatibility_defect(algebras[1], np.full((6, 6), np.nan), gamma))
+
+
+def test_first_bianchi_defect_of_a_nan_tensor_is_nan():
+    assert np.isnan(first_bianchi_defect(np.full((6, 6, 6, 6), np.nan)))
+
+
+def test_signature_rejects_a_nan_matrix():
+    with pytest.raises(ValueError, match=r"matrix has non-finite entries at \[\(0, 0\)"):
+        signature(np.full((6, 6), np.nan))
+
+
+def test_ricci_nilpotent_summands_rejects_a_nan_metric(algebras):
+    with pytest.raises(ValueError, match=r"metric has non-finite entries at \[\(0, 0\)"):
+        ricci_nilpotent_summands(algebras[1], np.full((6, 6), np.nan))
+
+
 def test_pairing_flat_identity_not(algebras):
     g = algebras[2]
     p = pairing_metric(2, exact=True)

@@ -10,8 +10,8 @@ import pytest
 
 from heiscot import metric_moduli
 from heiscot._exact import fmat
-from heiscot.automorphism import (assemble, bracket_defect, identity_params, is_automorphism,
-                                  random_automorphism, symplectic_rotation)
+from heiscot.automorphism import (assemble, bracket_defect, is_automorphism, random_automorphism,
+                                  symplectic_rotation)
 from heiscot.cli import run
 from heiscot.lie_core import build_thn
 from heiscot.metric_moduli import (
@@ -239,8 +239,8 @@ def test_pencil_choices_differ_by_center_slot_flips(algebras, rng):
         s = _without_s2(random_positive_definite(g, rng))
         pairings = metric_moduli._center_pairings(s)
         assert len(pairings) == 3
-        reduced = [reduce_with_diagnostics(act(assemble(dataclasses.replace(
-            identity_params(1), u1=u1, v1=v1), g), s), g) for u1, v1 in pairings]
+        reduced = [reduce_with_diagnostics(act(assemble(g, u1=u1, v1=v1), s), g)
+                   for u1, v1 in pairings]
         for r in reduced:
             assert r.residual <= 1e-9 * max(1.0, np.abs(s).max())
         for r in reduced[1:]:
@@ -259,7 +259,7 @@ def _assembled_group(g):
     """
     n = g.n
     fb1 = np.diag([1.0] * n + [-1.0] * n)
-    reflection = assemble(dataclasses.replace(identity_params(n), Fbar1=fb1), g)
+    reflection = assemble(g, Fbar1=fb1)
     flips = [np.eye(g.dim)]
     if n == 1:
         # phi_e: e <-> z*, e* <-> -z, f* -> -f*; phi_f the same with f for e
