@@ -33,6 +33,12 @@ algebra are then warm).  The kernels:
   with sigma = (1, ..., 1) that the residual group does not align);
 * ``residual_group_table``, the uncached build of the residual finite
   group's table (``metric_moduli._residual_group.__wrapped__``);
+* ``residual_search_orbit`` and ``residual_search_repeated``, the
+  residual-group search alone (``metric_moduli._residual_group_matches``)
+  on the orbit and repeated-sigma pairs above, reduced once beforehand;
+* ``complement_system``, the matrix of the adapted normalization's
+  invariant-complement system, from random blocks of its shapes, at
+  n >= 2 (the only n that builds it);
 * float ``LieAlgebra.bracket`` of two random vectors;
 * ``normalize_complex_structure`` of the automorphism conjugate of a float
   family member, which takes the adapted route;
@@ -69,8 +75,9 @@ KERNELS = ("integrability_report_exact", "integrability_report_float", "bracket_
            "hermitian_metric_space", "hermitian_defect_exact", "inv_exact", "det_exact",
            "riemann_exact", "certify_pseudo_kahler", "random_ad_invariant", "nullspace_exact",
            "ldl_inertia_exact", "center", "ad_invariant_space", "closed_invariant_space", "reduce_n1",
-           "are_equivalent_orbit", "are_equivalent_repeated",
-           "residual_group_table", "bracket_float", "normalize_adapted_float", "second_bianchi_float")
+           "are_equivalent_orbit", "are_equivalent_repeated", "residual_group_table",
+           "residual_search_orbit", "residual_search_repeated", "complement_system",
+           "bracket_float", "normalize_adapted_float", "second_bianchi_float")
 
 
 def _inputs(n):
@@ -83,7 +90,7 @@ def _inputs(n):
     from heiscot.complex_structures import IntegrableFamily, standard_complex_structure
     from heiscot.forms_kahler import build_omega, is_nondegenerate, pseudo_kahler_metric, random_omega_params
     from heiscot.lie_core import build_thn
-    from heiscot.metric_moduli import CanonicalMetric, act, random_positive_definite
+    from heiscot.metric_moduli import CanonicalMetric, act, random_positive_definite, reduce_with_diagnostics
 
     g = build_thn(n)
     rng = np.random.default_rng(100 + n)
@@ -112,8 +119,12 @@ def _inputs(n):
     s4[0, 1] = s4[1, 0] = 0.4
     repeated = (CanonicalMetric(sigma=ones, S4bar=np.eye(2 * n), omega4=1.5).matrix(),
                 CanonicalMetric(sigma=ones, S4bar=s4, omega4=1.5).matrix())
+    reduced = {name: tuple(reduce_with_diagnostics(x, g) for x in pair)
+               for name, pair in (("orbit", orbit), ("repeated", repeated))}
+    blocks = (rng.standard_normal((2 * n, 2 * n)), rng.standard_normal((2 * n + 1, 2 * n + 1)),
+              rng.standard_normal(2 * n + 1))
     return (g, j_exact, j_float, aut, standard_complex_structure(n, exact=True), a + a.T,
-            params, pseudo_kahler_metric(omega, n), aut_exact, orbit, repeated)
+            params, pseudo_kahler_metric(omega, n), aut_exact, orbit, repeated, reduced, blocks)
 
 
 def _worker():
@@ -122,12 +133,13 @@ def _worker():
     from heiscot._exact import det, inv
     from heiscot.adinvariant import ad_invariant_solution_space, random_ad_invariant
     from heiscot.automorphism import bracket_defect
-    from heiscot.complex_structures import (hermitian_defect, hermitian_metric_space, integrability_report,
-                                            normalize_complex_structure)
+    from heiscot.complex_structures import (_complement_system, hermitian_defect, hermitian_metric_space,
+                                            integrability_report, normalize_complex_structure)
     from heiscot.curvature import levi_civita, riemann, second_bianchi_defect, signature
     from heiscot.forms_kahler import certify_pseudo_kahler, closed_invariant_space
     from heiscot.lie_core import derivation_algebra
-    from heiscot.metric_moduli import _residual_group, are_equivalent, reduce_with_diagnostics
+    from heiscot.metric_moduli import (_residual_group, _residual_group_matches, are_equivalent,
+                                       reduce_with_diagnostics)
 
     def best(fn):
         times = []
@@ -142,7 +154,8 @@ def _worker():
 
     out = {k: {} for k in KERNELS}
     for n in NS:
-        g, j_exact, j_float, aut, j0, s, params, metric, aut_exact, orbit, repeated = _inputs(n)
+        (g, j_exact, j_float, aut, j0, s, params, metric, aut_exact, orbit, repeated, reduced,
+         blocks) = _inputs(n)
         gamma = levi_civita(g, metric)
         rng = np.random.default_rng(n)
         out["integrability_report_exact"][n] = best(lambda: integrability_report(j_exact, g))
@@ -165,6 +178,10 @@ def _worker():
         out["are_equivalent_orbit"][n] = best(lambda: are_equivalent(*orbit, g))
         out["are_equivalent_repeated"][n] = best(lambda: are_equivalent(*repeated, g))
         out["residual_group_table"][n] = best(lambda: _residual_group.__wrapped__(g))
+        for name in ("orbit", "repeated"):
+            out[f"residual_search_{name}"][n] = best(lambda: _residual_group_matches(*reduced[name], g, 1e-6))
+        if n >= 2:
+            out["complement_system"][n] = best(lambda: _complement_system(*blocks))
         x, y = np.random.default_rng(200 + n).standard_normal((2, g.dim))
         out["bracket_float"][n] = best(lambda: g.bracket(x, y))
         out["normalize_adapted_float"][n] = best(lambda: normalize_complex_structure(j_float, g))

@@ -231,7 +231,9 @@ def random_conformal_symplectic(n: int, rng: np.random.Generator,
 
     A transvection E - c v (Jv)^T is exactly symplectic for every c and v,
     so integer draws give exact rational (even integer) samples; the overall
-    scale lam contributes the conformal factor f4 = lam^2.
+    scale lam contributes the conformal factor f4 = lam^2.  Each factor is
+    applied as the rank-one update out - c (out v)(Jv)^T, O(d^2) where the
+    dense product is O(d^3).
     """
     fld = field(exact)
     j = standard_symplectic(n, exact=exact)
@@ -239,7 +241,7 @@ def random_conformal_symplectic(n: int, rng: np.random.Generator,
     for _ in range(3):
         v = fld.array(rng.integers(-2, 3, size=2 * n))
         c = fld.scalar(int(rng.integers(-1, 2))) / 2
-        out = out @ (fld.eye(2 * n) - c * np.outer(v, j @ v))
+        out = out - c * np.outer(out @ v, j @ v)
     return fld.scalar(int(rng.integers(1, 4))) / 2 * out
 
 

@@ -508,9 +508,19 @@ def _invariant_complement(jm: np.ndarray, g: LieAlgebra, tol: float):
 
 
 def _complement_system(bmap: np.ndarray, m4: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of Phi -> (Phi Bmap - M4 Phi, b^T Phi) on Phi flattened row by row."""
-    i2n = np.eye(len(bmap))
-    return np.vstack([np.kron(np.eye(len(m4)), bmap.T) - np.kron(m4, i2n), np.kron(b, i2n)])
+    """Matrix of Phi -> (Phi Bmap - M4 Phi, b^T Phi) on Phi flattened row by row.
+
+    That is [[kron(E, Bmap^T) - kron(M4, E)], [kron(b, E)]], written by
+    broadcasting into one array.  It forms the same products and
+    differences as the Kronecker products, so even its signed zeros match
+    them, and the pivoted QR of the solve sees the same bytes.
+    """
+    k, m = len(bmap), len(m4)
+    ek = np.eye(k)[:, None, :]
+    out = np.empty((m + 1, k, m, k))
+    np.subtract(np.eye(m)[:, None, :, None] * bmap.T[:, None, :], m4[:, None, :, None] * ek, out=out[:m])
+    np.multiply(b[:, None], ek, out=out[m])
+    return out.reshape((m + 1) * k, m * k)
 
 
 def _unit_vectors(jm: np.ndarray, v: np.ndarray, g: LieAlgebra):

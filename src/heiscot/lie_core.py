@@ -72,6 +72,14 @@ class LieAlgebra:
             if not isinstance(v, Fraction):
                 raise TypeError("structure constants must be Fractions")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """Hash of the fields, computed once: the algebra keys the ``functools.cache`` tables."""
+        return hash((self.dim, self.constants, self.basis_names, self.n))
+
     @cached_property
     def _lookup(self) -> dict:
         """(i, j) -> list of (k, value), both orientations."""

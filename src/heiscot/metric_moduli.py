@@ -446,10 +446,6 @@ def _compose(a: tuple, b: tuple) -> tuple:
     return pa[..., pb], sb * sa[..., pb]
 
 
-# candidates per vectorized congruence in _residual_group_matches: bounds its temporaries
-_CHUNK = 64
-
-
 @cache
 def _residual_group(g: LieAlgebra) -> tuple:
     """The residual finite group as signed permutations, in search order; built once per algebra.
@@ -462,6 +458,14 @@ def _residual_group(g: LieAlgebra) -> tuple:
     then the reflection is off or on, then the flip is none, phi_e or phi_f
     (n = 1 only).  The products are index operations on the generators'
     (perm, sign).  The arrays are read-only, because the table is shared.
+
+    For n >= 2 the table is the group.  At n = 1 its 24 rows are not closed
+    under composition: they cover the 6 permutations, and the products of
+    the generators make 48 signed permutations.  The missing sign patterns
+    move only off-diagonal entries, and a reduction that reached the n = 1
+    template is diagonal, so they matter only when a reduction missed it;
+    then a miss of the search gives "inconclusive" in :func:`are_equivalent`,
+    never a wrong "distinct".
     """
     n = g.n
     gens = [signed_permutation(x) for x in _generators(g)]
@@ -493,20 +497,45 @@ def _residual_group_matches(r1: ReductionResult, r2: ReductionResult, g: LieAlge
 
     All these elements are signed permutations, tabulated once per algebra
     by :func:`_residual_group`, so a candidate W moves R to
-    W^T R W = R[perm][:, perm] * outer(sign, sign), one indexed congruence;
-    it is evaluated for ``_CHUNK`` candidates at a time, in search order.
-    The first match is returned as its signed permutation matrix W.
+    W^T R W = R[perm][:, perm] * outer(sign, sign), and it matches when
+    every entry is within the bound of the other reduced form.  Three
+    vectorized tests on parts of that comparison run in turn, each on the
+    candidates that passed the one before:
+
+    1. the diagonal, R[perm, perm] (the signs square to one);
+    2. the dual block, rows and columns 2n+1..4n+1, which holds S4bar, t4
+       and omega4 (the noncentral block is the same template
+       diag(D(sigma), 1) in both forms once the sigmas match, so it rules
+       out almost nothing);
+    3. the whole congruence.
+
+    The first two compare a subset of the entries of the third, with the
+    same products and the same bound, so they only drop candidates that
+    would fail it, and the candidates keep their table order.  The first
+    match is therefore the first element of the table that matches, and it
+    is returned as its signed permutation matrix W.  The signs multiply
+    in place (by +-1, so exactly), and each stage holds one temporary of
+    its moved entries.  The largest is usually the dual-block stage over
+    the candidates with a matching diagonal, at most the whole table:
+    512 * 81 floats at n = 4 and 2048 * 121 floats (about 2 MB) at n = 5.
+    The whole congruence takes d^2 floats per survivor, as many as the
+    table only for data that the whole group fixes on its diagonal and
+    dual block (about 8 MB at n = 5).
     """
     perms, signs = _residual_group(g)
     a, b = r1.reduced, r2.reduced
     bound = tol * max(1.0, np.abs(b).max())
-    for start in range(0, len(perms), _CHUNK):
-        p, s = perms[start:start + _CHUNK], signs[start:start + _CHUNK]
-        moved = a[p[:, :, None], p[:, None, :]] * (s[:, :, None] * s[:, None, :])
-        hits = np.flatnonzero(np.abs(moved - b).max(axis=(1, 2)) <= bound)
-        if hits.size:
-            k = start + hits[0]
-            return Automorphism(_signed_matrix(perms[k], signs[k]))
+    keep = np.flatnonzero(np.abs(a[perms, perms] - np.diag(b)).max(axis=1) <= bound)
+    # the dual block, then the whole congruence, on the survivors so far
+    for rows in (slice(2 * g.n + 1, None), slice(None)):
+        p, s = perms[keep, rows], signs[keep, rows]
+        moved = a[p[:, :, None], p[:, None, :]]
+        moved *= s[:, :, None]
+        moved *= s[:, None, :]
+        moved -= b[rows, rows]
+        keep = keep[np.abs(moved, out=moved).max(axis=(1, 2)) <= bound]
+    if keep.size:
+        return Automorphism(_signed_matrix(perms[keep[0]], signs[keep[0]]))
     return None
 
 

@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heiscot._exact import feye, fmat, fzeros
+from heiscot._exact import feye, field, fmat, fzeros
 from heiscot.automorphism import (
     assemble,
     aut_parameter_dimension,
     bracket_defect,
     is_automorphism,
     random_automorphism,
+    random_conformal_symplectic,
     symplectic_rotation,
 )
-from heiscot.lie_core import build_thn, derivation_algebra
+from heiscot.lie_core import build_thn, derivation_algebra, standard_symplectic
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -106,3 +107,29 @@ def test_assembled_from_random_blocks(data):
     except ValueError:
         return   # degenerate F1 block, a measure-zero configuration
     assert bracket_defect(aut.matrix, g) == 0
+
+
+def _transvection_product(n, rng, exact):
+    """The earlier draw: dense products of the transvections, same rng calls."""
+    fld = field(exact)
+    j = standard_symplectic(n, exact=exact)
+    out = fld.eye(2 * n)
+    for _ in range(3):
+        v = fld.array(rng.integers(-2, 3, size=2 * n))
+        c = fld.scalar(int(rng.integers(-1, 2))) / 2
+        out = out @ (fld.eye(2 * n) - c * np.outer(v, j @ v))
+    return fld.scalar(int(rng.integers(1, 4))) / 2 * out
+
+
+@pytest.mark.parametrize("exact,seeds", [(False, 200), (True, 50)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rank_one_transvections_equal_dense_products(n, exact, seeds):
+    # the float entries are small dyadic rationals, so neither form rounds
+    for seed in range(seeds):
+        got = random_conformal_symplectic(n, np.random.default_rng(seed), exact=exact)
+        ref = _transvection_product(n, np.random.default_rng(seed), exact)
+        if exact:
+            assert got.dtype == object and all(isinstance(x, Fraction) for x in got.flat)
+            assert (got == ref).all()
+        else:
+            assert got.dtype == float and got.tobytes() == ref.tobytes()

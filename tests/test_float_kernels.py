@@ -2,9 +2,10 @@
 
 Float ``bracket``/``ad_matrix`` contract the structure tensor; the exact
 route on the same rational input is the reference.  The adapted
-normalization builds its complement system with Kronecker products and
-its h-form from one bilinear form W; the references are the row loop and
-the pairwise brackets they replaced.  The second Bianchi defect runs as
+normalization fills its complement system by broadcasting, byte for byte
+the earlier Kronecker form, and builds its h-form from one bilinear form
+W; the references are the row loop, the Kronecker form and the pairwise
+brackets they replaced.  The second Bianchi defect runs as
 contractions per first index; the reference is the loop over basis
 triples.
 """
@@ -84,6 +85,10 @@ def test_kronecker_complement_system_equals_row_loop(n):
     b = rng.standard_normal(2 * n + 1)
     mat = cs._complement_system(bmap, m4, b)
     assert np.array_equal(mat, _loop_system(bmap, m4, b))
+    # byte for byte the earlier Kronecker form, signed zeros included
+    i2n = np.eye(2 * n)
+    kron = np.vstack([np.kron(np.eye(2 * n + 1), bmap.T) - np.kron(m4, i2n), np.kron(b, i2n)])
+    assert mat.tobytes() == kron.tobytes()
 
 
 def _conjugate(jm, g, seed):

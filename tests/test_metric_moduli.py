@@ -332,7 +332,7 @@ def _brute_force_match(r1, r2, reference, tol):
     return None
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_residual_group_search_matches_brute_force(algebras, rng, n):
     g = algebras[n]
     reference = list(_assembled_group(g))
@@ -341,6 +341,8 @@ def test_residual_group_search_matches_brute_force(algebras, rng, n):
         s = random_positive_definite(g, rng)
         moved = act(random_automorphism(n, g, rng=rng), s)
         pairs.append((reduce_with_diagnostics(s, g), reduce_with_diagnostics(moved, g)))
+    # a distinct pair: two independent draws
+    pairs.append(tuple(reduce_with_diagnostics(random_positive_definite(g, rng), g) for _ in range(2)))
     # repeated sigma: templates against a copy moved by the last group element,
     # and against the template of the moduli_float workload's repeated pairs
     s4 = np.eye(2 * n) + 0.1 * np.ones((2 * n, 2 * n))
@@ -360,7 +362,7 @@ def test_residual_group_search_matches_brute_force(algebras, rng, n):
         if fast is not None:
             assert np.abs(fast.matrix - slow).max() <= 1e-15
         found.append(fast is not None)
-    assert found == [True] * 4 + [False]
+    assert found == [True] * 3 + [False, True, False]
 
 
 def test_n1_distinct_needs_both_templates_reached(algebras, monkeypatch):
