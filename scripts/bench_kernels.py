@@ -42,7 +42,14 @@ algebra are then warm).  The kernels:
 * float ``LieAlgebra.bracket`` of two random vectors;
 * ``normalize_complex_structure`` of the automorphism conjugate of a float
   family member, which takes the adapted route;
-* float ``second_bianchi_defect`` of a random positive definite metric.
+* float ``second_bianchi_defect`` of a random positive definite metric;
+* exact ``bracket_defect`` of the exact automorphism (``bracket_defect_exact``);
+* ``assemble`` from random exact blocks and from the same blocks in float
+  (``assemble_exact``, ``assemble_float``);
+* the exact composition ``Automorphism.__matmul__`` of two exact
+  automorphisms (``compose_exact``);
+* ``random_automorphism(exact=True)``, one draw from a fresh seeded
+  generator (``random_automorphism_exact``).
 
 The kernels of this checkout's ``src/`` are always timed.  With
 ``--parent DIR``, where DIR holds another revision of the repository (for
@@ -77,7 +84,8 @@ KERNELS = ("integrability_report_exact", "integrability_report_float", "bracket_
            "ldl_inertia_exact", "center", "ad_invariant_space", "closed_invariant_space", "reduce_n1",
            "are_equivalent_orbit", "are_equivalent_repeated", "residual_group_table",
            "residual_search_orbit", "residual_search_repeated", "complement_system",
-           "bracket_float", "normalize_adapted_float", "second_bianchi_float")
+           "bracket_float", "normalize_adapted_float", "second_bianchi_float", "bracket_defect_exact",
+           "assemble_exact", "assemble_float", "compose_exact", "random_automorphism_exact")
 
 
 def _inputs(n):
@@ -85,8 +93,8 @@ def _inputs(n):
 
     import numpy as np
 
-    from heiscot._exact import fmat
-    from heiscot.automorphism import random_automorphism
+    from heiscot._exact import fmat, to_float
+    from heiscot.automorphism import random_automorphism, random_conformal_symplectic
     from heiscot.complex_structures import IntegrableFamily, standard_complex_structure
     from heiscot.forms_kahler import build_omega, is_nondegenerate, pseudo_kahler_metric, random_omega_params
     from heiscot.lie_core import build_thn
@@ -123,8 +131,16 @@ def _inputs(n):
                for name, pair in (("orbit", orbit), ("repeated", repeated))}
     blocks = (rng.standard_normal((2 * n, 2 * n)), rng.standard_normal((2 * n + 1, 2 * n + 1)),
               rng.standard_normal(2 * n + 1))
+    # assemble's blocks as random_automorphism draws them (u1 = 0 unless n = 1), exact and float
+    aut_blocks = {"Fbar1": random_conformal_symplectic(n, rng, exact=True),
+                  "u1": fmat(rng.integers(-2, 3, size=2 * n) * (n == 1)) / 2,
+                  "v1": fmat(rng.integers(-2, 3, size=2 * n)) / 2, "f1": Fraction(-3, 2),
+                  "F3": fmat(rng.integers(-2, 3, size=(2 * n + 1, 2 * n + 1)))}
+    float_blocks = {k: float(v) if k == "f1" else to_float(v) for k, v in aut_blocks.items()}
+    aut_exact2 = random_automorphism(n, g, rng=rng, exact=True)
     return (g, j_exact, j_float, aut, standard_complex_structure(n, exact=True), a + a.T,
-            params, pseudo_kahler_metric(omega, n), aut_exact, orbit, repeated, reduced, blocks)
+            params, pseudo_kahler_metric(omega, n), aut_exact, orbit, repeated, reduced, blocks,
+            aut_blocks, float_blocks, aut_exact2)
 
 
 def _worker():
@@ -132,7 +148,7 @@ def _worker():
 
     from heiscot._exact import det, inv
     from heiscot.adinvariant import ad_invariant_solution_space, random_ad_invariant
-    from heiscot.automorphism import bracket_defect
+    from heiscot.automorphism import Automorphism, assemble, bracket_defect, random_automorphism
     from heiscot.complex_structures import (_complement_system, hermitian_defect, hermitian_metric_space,
                                             integrability_report, normalize_complex_structure)
     from heiscot.curvature import levi_civita, riemann, second_bianchi_defect, signature
@@ -155,7 +171,7 @@ def _worker():
     out = {k: {} for k in KERNELS}
     for n in NS:
         (g, j_exact, j_float, aut, j0, s, params, metric, aut_exact, orbit, repeated, reduced,
-         blocks) = _inputs(n)
+         blocks, aut_blocks, float_blocks, aut_exact2) = _inputs(n)
         gamma = levi_civita(g, metric)
         rng = np.random.default_rng(n)
         out["integrability_report_exact"][n] = best(lambda: integrability_report(j_exact, g))
@@ -188,6 +204,12 @@ def _worker():
         gamma_f = levi_civita(g, orbit[0])
         riem_f = riemann(g, gamma_f)
         out["second_bianchi_float"][n] = best(lambda: second_bianchi_defect(g, gamma_f, riem_f))
+        out["bracket_defect_exact"][n] = best(lambda: bracket_defect(aut_exact, g))
+        out["assemble_exact"][n] = best(lambda: assemble(g, **aut_blocks))
+        out["assemble_float"][n] = best(lambda: assemble(g, **float_blocks))
+        out["compose_exact"][n] = best(lambda: Automorphism(aut_exact) @ aut_exact2)
+        out["random_automorphism_exact"][n] = best(
+            lambda: random_automorphism(n, g, np.random.default_rng(7), exact=True))
     json.dump(out, sys.stdout)
 
 

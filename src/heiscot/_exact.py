@@ -30,9 +30,12 @@ stated this way.
 bracket checks: a rational matrix held as dict-of-rows Python ints over one
 common denominator.  Products, sums and the ad action then run over ints
 and touch only the nonzero entries; Fractions appear again only when a
-result is converted back to a dense array.  :func:`congruence_defect`
-(max |F^T S F - P|) runs on it, and :func:`maxabs` is the one max-|entry|
-helper of the package: exact on object arrays, float otherwise.
+result is converted back to a dense array.  :func:`to_ints` and
+:func:`from_ints` do the same for a dense array: Python ints over the lcm
+of its denominators, and one Fraction per entry on the way back.
+:func:`congruence_defect` (max |F^T S F - P|) runs on :class:`SparseQ`,
+and :func:`maxabs` is the one max-|entry| helper of the package: exact on
+object arrays, float otherwise.
 
 Arithmetic follows the input's type, and the choice is made here, once:
 the operands choose the field.  :func:`field_of` returns :data:`EXACT`
@@ -85,6 +88,8 @@ __all__ = [
     "ad",
     "congruence_defect",
     "signed_permutation",
+    "to_ints",
+    "from_ints",
 ]
 
 
@@ -103,10 +108,7 @@ def fmat(rows) -> np.ndarray:
     """dtype=object array of Fractions with the shape of a nested sequence or
     array of ints, Fractions or 'p/q' strings; floats are rejected."""
     a = np.asarray(rows)
-    out = np.empty(a.shape, dtype=object)
-    for idx, x in np.ndenumerate(a):
-        out[idx] = fr(x)
-    return out
+    return np.fromiter(map(fr, a.ravel().tolist()), dtype=object, count=a.size).reshape(a.shape)
 
 
 def fzeros(shape) -> np.ndarray:
@@ -237,6 +239,22 @@ def signed_permutation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             or not np.array_equal(np.sort(perm), np.arange(d)) or not all(abs(x) == 1 for x in sign):
         raise ValueError("matrix is not a signed permutation")
     return perm, sign.astype(int)
+
+
+def to_ints(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(A, den) with a = A / den: an exact array as an object array of Python
+    ints over the lcm of its denominators."""
+    flat = a.ravel().tolist()
+    den = lcm(*(x.denominator for x in flat))
+    ints = (x.numerator * (den // x.denominator) for x in flat)
+    return np.fromiter(ints, dtype=object, count=a.size).reshape(a.shape), den
+
+
+def from_ints(a: np.ndarray, den: int) -> np.ndarray:
+    """Fraction array a / den of an int array and a positive int: one Fraction per entry."""
+    zero = Fraction(0)
+    fracs = (Fraction(x, den) if x else zero for x in a.ravel().tolist())
+    return np.fromiter(fracs, dtype=object, count=a.size).reshape(a.shape)
 
 
 def _int_rows(a: np.ndarray) -> tuple[list[list[int]], list[int]]:
@@ -472,8 +490,7 @@ def ldl_inertia(s: np.ndarray) -> tuple[int, int, int]:
     column i makes the pivot 2 A_ij (valid in characteristic 0).
     """
     d = s.shape[0]
-    den = lcm(*(x.denominator for x in s.ravel().tolist()))
-    a = [[x.numerator * (den // x.denominator) for x in line] for line in s.tolist()]
+    a = to_ints(s)[0].tolist()
     p = q = 0
     while a:
         k = next((i for i in range(len(a)) if a[i][i]), None)

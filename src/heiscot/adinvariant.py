@@ -89,17 +89,19 @@ def ad_invariant_solution_space(g: LieAlgebra) -> list[np.ndarray]:
     Returns a list of symmetric Fraction matrices.  One equation
     <[x,y],w> + <y,[x,w]> = 0 per x and y <= w, over the symmetric units
     E_ab + E_ba, a < b, and E_aa, in row-major order of the upper triangle.
+    Only the pairs where [x, y] or [x, w] is nonzero give an equation, so
+    only those are visited, in the same (x, y, w) order.
     """
     d = g.dim
 
     def equations():
         for x in range(d):
+            hits = [y for y in range(d) if g.bracket_sparse(x, y)]
             for y in range(d):
-                for w in range(y, d):
+                for w in (range(y, d) if y in hits else (w for w in hits if w >= y)):
                     eq = [((k, w), v) for (k, v) in g.bracket_sparse(x, y)]
                     eq += [((y, k), v) for (k, v) in g.bracket_sparse(x, w)]
-                    if eq:
-                        yield eq
+                    yield eq
 
     # at a = b the two keys coincide, which leaves E_aa
     units = [{(a, b): 1, (b, a): 1} for a in range(d) for b in range(a, d)]

@@ -17,10 +17,19 @@ constraint couples u1 against every off-diagonal entry of J Fbar1, and only
 in the 2x2 symplectic case does the coupling have full-rank solutions.
 assemble() re-verifies the bracket identity on every call, so this is a
 checked fact, not an assumption.
+
+The exact branches multiply no dense Fraction arrays: assemble,
+bracket_defect, the composition of automorphisms and
+random_conformal_symplectic scale their operands to Python ints over one
+common denominator (fraction-free, as in Bareiss, Math. Comp. 22, 1968),
+compute over ints, and build one Fraction per returned entry.  Every call
+still verifies, in both fields: assemble checks the conformal factor, f1,
+the singular F1 block and bracket preservation before it returns.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -28,7 +37,7 @@ from functools import cache
 import numpy as np
 
 from . import _exact
-from ._exact import congruence_defect, field, field_of, maxabs, negligible
+from ._exact import SparseQ, field, field_of, maxabs, negligible
 from .lie_core import LieAlgebra, standard_symplectic
 
 __all__ = [
@@ -53,52 +62,88 @@ class Automorphism:
         return Automorphism(field_of(self.matrix).inv(self.matrix))
 
     def __matmul__(self, other: "Automorphism") -> "Automorphism":
-        return Automorphism(self.matrix @ other.matrix)
+        """The composition; over :class:`SparseQ` when both matrices are exact."""
+        a, b = self.matrix, other.matrix
+        if _exact.is_exact(a) and _exact.is_exact(b):
+            product = SparseQ.from_dense(a) @ SparseQ.from_dense(b)
+            return Automorphism(product.dense((len(a), b.shape[1])))
+        return Automorphism(a @ b)
 
 
 def bracket_defect(m: np.ndarray, g: LieAlgebra):
     """max |M[b_i,b_j] - [Mb_i, Mb_j]| over basis pairs; Fraction in exact mode.
 
-    Exact input compares M ad(b_i) with ad(Mb_i) M over :class:`SparseQ`.
-    Float input evaluates every pair i < j at once from the i < j rows of
-    the structure tensor C: M[b_i, b_j] is one product with M, and
-    [Mb_i, Mb_j] = sum over the bracket pairs a < b of
-    (M_ai M_bj - M_bi M_aj) [b_a, b_b], a second product.
+    Exact input is scaled to ints over one denominator (:class:`SparseQ`),
+    and the defect of every pair i < j is summed as ints over that
+    denominator squared times the structure constants' one: M[b_i, b_j]
+    reads the columns of M at the brackets of g, and [Mb_i, Mb_j] the
+    products M_ai M_bj of the rows a, b of each nonzero bracket [b_a, b_b].
+    One Fraction is built at the end.  Float input evaluates every pair
+    i < j at once from the i < j rows of the structure tensor C:
+    M[b_i, b_j] is one product with M, and [Mb_i, Mb_j] = sum over the
+    bracket pairs a < b of (M_ai M_bj - M_bi M_aj) [b_a, b_b], a second
+    product, with the minors gathered from M through flat indices.
+    :func:`assemble` runs this check on every matrix it builds.
     """
     if _exact.is_exact(m):
-        sm = _exact.SparseQ.from_dense(m)
-        cols = sm.T.rows
-        worst = Fraction(0)
-        for i in range(g.dim):
-            # column j is M[b_i, b_j] - [Mb_i, Mb_j]; columns j <= i repeat
-            # pairs already seen, up to sign, or vanish
-            diff = sm @ _exact.ad(g, {i: 1}) - _exact.ad(g, cols.get(i, {}), sm.den) @ sm
-            worst = max(worst, diff.maxabs())
-        return worst
-    iu, ju, a, b, c_upper, c_pairs = _pair_tables(g)
-    mt = m.T
-    mi, mj = mt[iu], mt[ju]
-    minors = mi[:, a] * mj[:, b] - mi[:, b] * mj[:, a]
-    return _exact.maxabs(c_upper @ mt - minors @ c_pairs)
+        mq = SparseQ.from_dense(m)
+        rows, cols, den = mq.rows, mq.T.rows, mq.den
+        dc, table = g.int_constants
+        # acc[i, j, k]: component k of den^2 dc (M[b_i, b_j] - [Mb_i, Mb_j]), i < j
+        acc: defaultdict = defaultdict(int)
+        for (a, b), terms in table.items():
+            if a > b:
+                continue
+            for c, u in terms:
+                for k, y in cols.get(c, {}).items():
+                    acc[a, b, k] += den * u * y
+            # M_ai M_bj [b_a, b_b] is part of [Mb_i, Mb_j] = -[Mb_j, Mb_i]
+            for i, x in rows.get(a, {}).items():
+                for j, y in rows.get(b, {}).items():
+                    if i < j:
+                        for c, u in terms:
+                            acc[i, j, c] -= x * y * u
+                    elif i > j:
+                        for c, u in terms:
+                            acc[j, i, c] += x * y * u
+        return Fraction(max(map(abs, acc.values()), default=0), den * den * dc)
+    ai, bj, bi, aj, c_upper, c_pairs = _pair_tables(g)[2:]
+    mf = m.ravel()
+    minors = mf[ai] * mf[bj] - mf[bi] * mf[aj]
+    return _exact.maxabs(c_upper @ m.T - minors @ c_pairs)
 
 
 @cache
 def _pair_tables(g: LieAlgebra) -> tuple:
     """Index tables of the float bracket kernels, built once per algebra.
 
-    ``(iu, ju, a, b, c_upper, c_pairs)``: (iu, ju) are the pairs i < j of
-    the basis, (a, b) the sorted pairs with a nonzero bracket, and
-    c_upper = C[iu, ju], c_pairs = C[a, b] the matching rows of the
-    structure tensor C.  The arrays are read-only, because the cache
-    shares them.
+    ``(iu, ju, ai, bj, bi, aj, c_upper, c_pairs)``: (iu, ju) are the pairs
+    i < j of the basis and (a, b) the sorted pairs with a nonzero bracket;
+    ai[p, q] = a[q] d + iu[p] is the flat index of M[a_q, i_p] (likewise
+    bj, bi and aj), and c_upper = C[iu, ju], c_pairs = C[a, b] are the
+    matching rows of the structure tensor C.  The arrays are read-only,
+    because the cache shares them.
     """
-    iu, ju = np.triu_indices(g.dim, 1)
+    d = g.dim
+    iu, ju = np.triu_indices(d, 1)
     a, b = np.array(sorted({(i, j) for i, j, _, _ in g.constants}), dtype=int).reshape(-1, 2).T
     c = g.structure_tensor
-    out = (iu, ju, a, b, c[iu, ju], c[a, b])
+    flat = [row * d + col[:, None] for row, col in ((a, iu), (b, ju), (b, iu), (a, ju))]
+    out = (iu, ju, *flat, c[iu, ju], c[a, b])
     for arr in out:
         arr.flags.writeable = False
     return out
+
+
+@cache
+def _symplectic(n: int, exact: bool) -> np.ndarray:
+    """Read-only J of :func:`standard_symplectic`, built once per n: float64,
+    or (exact) an object array of Python ints."""
+    j = standard_symplectic(n)
+    if exact:
+        j = j.astype(int).astype(object)
+    j.flags.writeable = False
+    return j
 
 
 def is_automorphism(m: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> bool:
@@ -112,22 +157,83 @@ def is_automorphism(m: np.ndarray, g: LieAlgebra, tol: float = 1e-12) -> bool:
     return negligible(bracket_defect(m, g), tol, m, power=2)
 
 
-def _conformal_factor(fb1: np.ndarray, j: np.ndarray):
-    """f4 from Fbar1^T J Fbar1 = f4 J; raises unless that holds (exactly, or at 1e-12)."""
-    n = len(fb1) // 2
-    if _exact.is_exact(fb1):
-        # J[0, n] = -1, so one bilinear form gives f4; the rest is checked over SparseQ
-        f4 = -(fb1[:, 0] @ j @ fb1[:, n])
-        conformal = congruence_defect(fb1, j, f4 * j) == 0
-    else:
-        m = fb1.T @ j @ fb1
-        f4 = m[0, n] / j[0, n]
-        conformal = negligible(maxabs(m - f4 * j), 1e-12, m)
+def _check_conformal(conformal: bool, f4) -> None:
+    """The two rejections of Fbar1, in the order :func:`assemble` tests them."""
     if not conformal:
         raise ValueError("Fbar1 is not conformal symplectic")
     if f4 == 0:
         raise ValueError("conformal factor f4 must be nonzero")
-    return f4
+
+
+def _fill_exact(out: np.ndarray, n: int, fb1, u1, v1, f1) -> None:
+    """Check the blocks and write F4bar, v4, u4, f4 into ``out``, over ints.
+
+    Fbar1 = B / D, u1 = U / e, v1 = V / e, f1 = a / b and
+    Fbar1^{-1} = I / di, with B, U, V, I int arrays.  Then
+    B^T J B = D^2 f4 J, and each determined block is an int array over one
+    denominator, turned into Fractions once.
+    """
+    k = 2 * n
+    j = _symplectic(n, exact=True)
+    if fb1 is None:
+        bm, dd = np.eye(k, dtype=int).astype(object), 1
+    else:
+        bm, dd = _exact.to_ints(fb1)
+    top, bot = bm[:n], bm[n:]
+    w = bot.T @ top - top.T @ bot
+    # w = D^2 f4 J, and J[0, n] = -1
+    w0 = -w[0, n]
+    _check_conformal(not (w != w0 * j).any(), w0)
+    if f1 == 0:
+        raise ValueError("f1 must be nonzero")
+    inv_b, di = (bm, 1) if fb1 is None else _exact.to_ints(_exact.inv(fb1))
+    uv, e = _exact.to_ints(np.concatenate([u1, v1]))
+    uu, vv = uv[:k], uv[k:]
+    a, b = int(f1.numerator), int(f1.denominator)
+    # det F1 = det(Fbar1) (f1 - u1^T Fbar1^{-1} v1); reject singular F1 early
+    if a * e * e * di == b * (uu @ inv_b @ vv):
+        raise ValueError("F1 block is singular (f1 - u1^T Fbar1^{-1} v1 = 0)")
+    m = k + 1
+    # F4bar over b D^2 di e^2, v4 and u4 over D^2 di e, f4 over D^2
+    scale = dd * dd * di
+    out[m : m + k, m : m + k] = _exact.from_ints(
+        a * w0 * e * e * inv_b.T - b * scale * np.outer(j @ vv, j @ uu), b * scale * e * e)
+    out[m : m + k, m + k] = _exact.from_ints(-w0 * (inv_b.T @ uu), scale * e)
+    out[m + k, m : m + k] = _exact.from_ints(-w0 * (inv_b @ vv), scale * e)
+    out[m + k, m + k] = Fraction(w0, dd * dd)
+
+
+def _fill_float(out: np.ndarray, n: int, fb1, u1, v1, f1) -> None:
+    """Check the blocks and write F4bar, v4, u4, f4 into ``out`` in float64.
+
+    An identity Fbar1 (None) is checked like any other, but neither
+    inverted nor multiplied.
+    """
+    k = 2 * n
+    m = k + 1
+    j = _symplectic(n, exact=False)
+    ident = fb1 is None
+    if ident:
+        fb1 = out[:k, :k]
+    c = fb1.T @ j @ fb1
+    f4 = c[0, n] / j[0, n]
+    _check_conformal(negligible(maxabs(c - f4 * j), 1e-12, c), f4)
+    if f1 == 0:
+        raise ValueError("f1 must be nonzero")
+    fb1_inv = None if ident else np.linalg.inv(fb1)
+    # det F1 = det(Fbar1) (f1 - u1^T Fbar1^{-1} v1); reject singular F1 early
+    cross = u1 @ v1 if ident else u1 @ fb1_inv @ v1
+    if negligible(f1 - cross, 1e-12, f1, cross):
+        raise ValueError("F1 block is singular (f1 - u1^T Fbar1^{-1} v1 = 0)")
+    fb4 = out[m : m + k, m : m + k]
+    if ident:
+        np.fill_diagonal(fb4, f1 * f4)
+    else:
+        np.multiply(f1 * f4, fb1_inv.T, out=fb4)
+    fb4 -= np.outer(j @ v1, j @ u1)
+    out[m : m + k, m + k] = -f4 * (u1 if ident else fb1_inv.T @ u1)
+    out[m + k, m : m + k] = -f4 * (v1 if ident else fb1_inv @ v1)
+    out[m + k, m + k] = f4
 
 
 def assemble(g: LieAlgebra, *, Fbar1=None, u1=None, v1=None, f1=1, F3=None) -> Automorphism:
@@ -140,10 +246,16 @@ def assemble(g: LieAlgebra, *, Fbar1=None, u1=None, v1=None, f1=1, F3=None) -> A
 
     A block left out is the identity's (Fbar1 = Id, f1 = 1, the others 0).
     The determined blocks (F4, u4, v4, f4) are filled in and bracket
-    preservation is re-verified before returning.  The blocks given choose
-    the field (:func:`heiscot._exact.field_of`): exact blocks give an exact
-    automorphism and check; if any block is float, all are coerced to
-    float and checked at 1e-12.
+    preservation is re-verified on every call before returning.  The
+    blocks given choose the field (:func:`heiscot._exact.field_of`): exact
+    blocks give an exact automorphism and check; if any block is float,
+    all are coerced to float and checked at 1e-12.  The exact branch
+    computes f4 and its conformal check, the singular-F1 test and the
+    determined blocks over Python ints, each block over one common
+    denominator, and builds their Fractions once; Fbar1^{-1} is
+    :func:`heiscot._exact.inv`.  The float branch reads J from a cache and
+    writes the blocks into the result; an identity Fbar1 it checks but
+    neither inverts nor multiplies.
 
     Raises
     ------
@@ -156,44 +268,26 @@ def assemble(g: LieAlgebra, *, Fbar1=None, u1=None, v1=None, f1=1, F3=None) -> A
     n = g.n
     if n is None or g.dim != 4 * n + 2:
         raise ValueError("algebra dimension mismatch: assemble needs T*h(2n+1)")
-    m = 2 * n + 1
-    shapes = {"Fbar1": (2 * n, 2 * n), "u1": (2 * n,), "v1": (2 * n,), "f1": (), "F3": (m, m)}
+    k = 2 * n
+    m = k + 1
+    shapes = {"Fbar1": (k, k), "u1": (k,), "v1": (k,), "f1": (), "F3": (m, m)}
     for name, block in zip(shapes, (Fbar1, u1, v1, f1, F3)):
         if block is not None and np.shape(block) != shapes[name]:
             raise ValueError(f"block {name} has shape {np.shape(block)}, "
                              f"expected {shapes[name]} for n = {n}")
     fld = field_of(Fbar1, u1, v1, f1, F3)
-    fb1 = fld.eye(2 * n) if Fbar1 is None else fld.array(Fbar1)
-    u1 = fld.zeros(2 * n) if u1 is None else fld.array(u1)
-    v1 = fld.zeros(2 * n) if v1 is None else fld.array(v1)
+    fb1 = None if Fbar1 is None else fld.array(Fbar1)
+    u1 = fld.zeros(k) if u1 is None else fld.array(u1)
+    v1 = fld.zeros(k) if v1 is None else fld.array(v1)
     f1 = fld.scalar(f1)
-    f3 = fld.zeros((m, m)) if F3 is None else fld.array(F3)
-    j = standard_symplectic(n, exact=fld.exact)
-    f4 = _conformal_factor(fb1, j)
-    if f1 == 0:
-        raise ValueError("f1 must be nonzero")
-
-    fb1_inv = fld.inv(fb1)
-    # det F1 = det(Fbar1) (f1 - u1^T Fbar1^{-1} v1); reject singular F1 early
-    cross = u1 @ fb1_inv @ v1
-    if negligible(f1 - cross, 1e-12, f1, cross):
-        raise ValueError("F1 block is singular (f1 - u1^T Fbar1^{-1} v1 = 0)")
-
-    fb4 = f1 * f4 * fb1_inv.T - np.outer(j @ v1, j @ u1)
-    v4 = -f4 * (fb1_inv.T @ u1)
-    u4 = -f4 * (fb1_inv @ v1)
-
-    d = 4 * n + 2
-    out = fld.zeros((d, d))
-    out[: 2 * n, : 2 * n] = fb1
-    out[: 2 * n, 2 * n] = v1
-    out[2 * n, : 2 * n] = u1
-    out[2 * n, 2 * n] = f1
-    out[m:, :m] = f3
-    out[m : m + 2 * n, m : m + 2 * n] = fb4
-    out[m : m + 2 * n, m + 2 * n] = v4
-    out[m + 2 * n, m : m + 2 * n] = u4
-    out[m + 2 * n, m + 2 * n] = f4
+    out = fld.zeros((2 * m, 2 * m))
+    out[:k, :k] = fld.eye(k) if fb1 is None else fb1
+    out[:k, k] = v1
+    out[k, :k] = u1
+    out[k, k] = f1
+    if F3 is not None:
+        out[m:, :m] = fld.array(F3)
+    (_fill_exact if fld.exact else _fill_float)(out, n, fb1, u1, v1, f1)
 
     defect = bracket_defect(out, g)
     if not negligible(defect, 1e-12, out, power=2):
@@ -231,18 +325,21 @@ def random_conformal_symplectic(n: int, rng: np.random.Generator,
 
     A transvection E - c v (Jv)^T is exactly symplectic for every c and v,
     so integer draws give exact rational (even integer) samples; the overall
-    scale lam contributes the conformal factor f4 = lam^2.  Each factor is
-    applied as the rank-one update out - c (out v)(Jv)^T, O(d^2) where the
-    dense product is O(d^3).
+    scale lam contributes the conformal factor f4 = lam^2.  With c in
+    {-1/2, 0, 1/2}, each factor is applied to an int matrix X over 2^t as
+    the rank-one update 2X - 2c (Xv)(Jv)^T over 2^(t+1), O(d^2) where the
+    dense product is O(d^3); lam in {1/2, 1, 3/2} leaves the result over
+    16.  Its entries are dyadic with small numerators, so float arithmetic
+    would be exact on them: the float result is the same ints over 16.
     """
-    fld = field(exact)
-    j = standard_symplectic(n, exact=exact)
-    out = fld.eye(2 * n)
+    j = _symplectic(n, exact=True)
+    x = np.eye(2 * n, dtype=int).astype(object)
     for _ in range(3):
-        v = fld.array(rng.integers(-2, 3, size=2 * n))
-        c = fld.scalar(int(rng.integers(-1, 2))) / 2
-        out = out - c * np.outer(out @ v, j @ v)
-    return fld.scalar(int(rng.integers(1, 4))) / 2 * out
+        v = rng.integers(-2, 3, size=2 * n).astype(object)
+        c = int(rng.integers(-1, 2))
+        x = 2 * x - c * np.outer(x @ v, j @ v)
+    x = int(rng.integers(1, 4)) * x
+    return _exact.from_ints(x, 16) if exact else _exact.to_float(x) / 16
 
 
 def random_automorphism(n: int, g: LieAlgebra, rng: np.random.Generator,

@@ -21,7 +21,7 @@ from heiscot.adinvariant import (
     random_ad_invariant,
 )
 from heiscot.automorphism import bracket_defect, random_automorphism
-from heiscot.curvature import levi_civita, ricci_nilpotent_summands, riemann
+from heiscot.curvature import levi_civita, ricci_from_riemann, ricci_nilpotent_summands, riemann
 from heiscot.forms_kahler import (
     build_omega,
     closure_defect,
@@ -184,6 +184,20 @@ def test_curvature_kernels_match_dense_reference(algebras, n, kind):
     _same(two, ref_two)
     defect = ad_invariance_defect(g, s)
     assert type(defect) is Fraction and defect == _ref_ad_invariance_defect(g, s) != 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ricci_trace_matches_the_dense_trace(algebras, workloads, n):
+    # the kahler_sparse workload's pseudo-Kahler metrics at seed 1, the ac10 draws and the pairing
+    metrics = [pseudo_kahler_metric(build_omega(p), n) for p in workloads._kahler_setup(1, n, 3)]
+    metrics += [_metric(kind, n) for kind in METRICS[1:]] + [pairing_metric(n, exact=True)]
+    curved = 0
+    for s in metrics:
+        riem = riemann(algebras[n], levi_civita(algebras[n], s))
+        ric = ricci_from_riemann(riem)
+        _same(ric, np.trace(riem, axis1=0, axis2=3))
+        curved += any(x != 0 for x in ric.ravel())
+    assert curved > 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

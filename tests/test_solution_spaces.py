@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from heiscot import _exact
 from heiscot._exact import fzeros, nullspace_sparse, signed_permutation
 from heiscot.adinvariant import ad_invariant_solution_space
 from heiscot.complex_structures import standard_complex_structure
@@ -129,3 +130,31 @@ def test_ad_invariant_space_matches_reference(algebras, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_invariant_space_matches_reference(n):
     _assert_same(closed_invariant_space(n), _ref_closed_invariant(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ad_invariant_equations_skip_only_empty_triples(monkeypatch, n):
+    # the equations handed to solution_space are those of every (x, y, w) triple, in
+    # that order, with the empty ones left out; so the basis is the reference's too
+    g = build_thn(n)
+    d = g.dim
+    ref = []
+    for x in range(d):
+        for y in range(d):
+            for w in range(y, d):
+                eq = [((k, w), v) for (k, v) in g.bracket_sparse(x, y)]
+                eq += [((y, k), v) for (k, v) in g.bracket_sparse(x, w)]
+                if eq:
+                    ref.append(eq)
+    seen = []
+    solve = _exact.solution_space
+
+    def record(equations, directions, shape):
+        seen.extend(equations)
+        return solve(seen, directions, shape)
+
+    monkeypatch.setattr(_exact, "solution_space", record)
+    basis = ad_invariant_solution_space(g)
+    assert seen == ref
+    monkeypatch.undo()
+    _assert_same(basis, _ref_ad_invariant(g))
