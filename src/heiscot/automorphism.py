@@ -204,35 +204,27 @@ def _fill_exact(out: np.ndarray, n: int, fb1, u1, v1, f1) -> None:
 
 
 def _fill_float(out: np.ndarray, n: int, fb1, u1, v1, f1) -> None:
-    """Check the blocks and write F4bar, v4, u4, f4 into ``out`` in float64.
-
-    An identity Fbar1 (None) is checked like any other, but neither
-    inverted nor multiplied.
-    """
+    """Check the blocks and write F4bar, v4, u4, f4 into ``out`` in float64."""
     k = 2 * n
     m = k + 1
     j = _symplectic(n, exact=False)
-    ident = fb1 is None
-    if ident:
+    if fb1 is None:
         fb1 = out[:k, :k]
     c = fb1.T @ j @ fb1
     f4 = c[0, n] / j[0, n]
     _check_conformal(negligible(maxabs(c - f4 * j), 1e-12, c), f4)
     if f1 == 0:
         raise ValueError("f1 must be nonzero")
-    fb1_inv = None if ident else np.linalg.inv(fb1)
+    fb1_inv = np.linalg.inv(fb1)
     # det F1 = det(Fbar1) (f1 - u1^T Fbar1^{-1} v1); reject singular F1 early
-    cross = u1 @ v1 if ident else u1 @ fb1_inv @ v1
+    cross = u1 @ fb1_inv @ v1
     if negligible(f1 - cross, 1e-12, f1, cross):
         raise ValueError("F1 block is singular (f1 - u1^T Fbar1^{-1} v1 = 0)")
     fb4 = out[m : m + k, m : m + k]
-    if ident:
-        np.fill_diagonal(fb4, f1 * f4)
-    else:
-        np.multiply(f1 * f4, fb1_inv.T, out=fb4)
+    np.multiply(f1 * f4, fb1_inv.T, out=fb4)
     fb4 -= np.outer(j @ v1, j @ u1)
-    out[m : m + k, m + k] = -f4 * (u1 if ident else fb1_inv.T @ u1)
-    out[m + k, m : m + k] = -f4 * (v1 if ident else fb1_inv @ v1)
+    out[m : m + k, m + k] = -f4 * (fb1_inv.T @ u1)
+    out[m + k, m : m + k] = -f4 * (fb1_inv @ v1)
     out[m + k, m + k] = f4
 
 
@@ -254,8 +246,7 @@ def assemble(g: LieAlgebra, *, Fbar1=None, u1=None, v1=None, f1=1, F3=None) -> A
     determined blocks over Python ints, each block over one common
     denominator, and builds their Fractions once; Fbar1^{-1} is
     :func:`heiscot._exact.inv`.  The float branch reads J from a cache and
-    writes the blocks into the result; an identity Fbar1 it checks but
-    neither inverts nor multiplies.
+    writes the blocks into the result.
 
     Raises
     ------
@@ -329,17 +320,18 @@ def random_conformal_symplectic(n: int, rng: np.random.Generator,
     {-1/2, 0, 1/2}, each factor is applied to an int matrix X over 2^t as
     the rank-one update 2X - 2c (Xv)(Jv)^T over 2^(t+1), O(d^2) where the
     dense product is O(d^3); lam in {1/2, 1, 3/2} leaves the result over
-    16.  Its entries are dyadic with small numerators, so float arithmetic
-    would be exact on them: the float result is the same ints over 16.
+    16.  Each update multiplies the largest numerator by at most 2 + 8n, so the
+    ints stay far inside int64 (below 10^6 at n = 5), and the float result
+    is the same ints over 16.
     """
-    j = _symplectic(n, exact=True)
-    x = np.eye(2 * n, dtype=int).astype(object)
+    j = standard_symplectic(n).astype(np.int64)
+    x = np.eye(2 * n, dtype=np.int64)
     for _ in range(3):
-        v = rng.integers(-2, 3, size=2 * n).astype(object)
+        v = rng.integers(-2, 3, size=2 * n)
         c = int(rng.integers(-1, 2))
         x = 2 * x - c * np.outer(x @ v, j @ v)
     x = int(rng.integers(1, 4)) * x
-    return _exact.from_ints(x, 16) if exact else _exact.to_float(x) / 16
+    return _exact.from_ints(x, 16) if exact else x / 16
 
 
 def random_automorphism(n: int, g: LieAlgebra, rng: np.random.Generator,

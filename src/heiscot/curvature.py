@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 import numpy as np
 
-from ._exact import SparseQ, ad, field_of, fzeros, is_exact, ldl_inertia, maxabs, require_finite
+from ._exact import (SparseQ, ad, field_of, from_ints, fzeros, is_exact, ldl_inertia, maxabs,
+                     require_finite, to_ints)
 from ._exact import inv as _exact_inv
 from .lie_core import LieAlgebra
 
@@ -144,24 +144,16 @@ def riemann(g: LieAlgebra, gamma: np.ndarray) -> np.ndarray:
 def ricci_from_riemann(riem: np.ndarray) -> np.ndarray:
     """Ricci tensor ric(y, z) = trace of x -> R(x, y) z.
 
-    Exact input sums each trace over ints: the nonzero terms riem[x, y, z, x]
-    are scaled by the lcm of their denominators, and one Fraction is built
-    per entry.
+    Exact input sums each trace over ints: the terms riem[x, y, z, x] are
+    scaled to ints over the lcm of their denominators, and one Fraction is
+    built per entry.
     """
     if not is_exact(riem):
         return np.trace(riem, axis1=0, axis2=3)
     d = riem.shape[0]
     # terms[y, z] lists riem[x, y, z, x] over x
-    terms = np.moveaxis(riem[np.arange(d), :, :, np.arange(d)], 0, -1)
-    return np.fromiter(map(_int_sum, terms.reshape(-1, d).tolist()), dtype=object,
-                       count=d * d).reshape(d, d)
-
-
-def _int_sum(xs: list) -> Fraction:
-    """Sum of Fractions over ints: the nonzero terms over the lcm of their denominators."""
-    xs = [x for x in xs if x]
-    den = lcm(*(x.denominator for x in xs))
-    return Fraction(sum(x.numerator * (den // x.denominator) for x in xs), den)
+    ints, den = to_ints(np.moveaxis(riem[np.arange(d), :, :, np.arange(d)], 0, -1))
+    return from_ints(ints.sum(axis=-1), den)
 
 
 def ricci_nilpotent_formula(g: LieAlgebra, s: np.ndarray) -> np.ndarray:
