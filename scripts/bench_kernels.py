@@ -96,7 +96,7 @@ def _inputs(n):
     from heiscot._exact import fmat, to_float
     from heiscot.automorphism import random_automorphism, random_conformal_symplectic
     from heiscot.complex_structures import IntegrableFamily, standard_complex_structure
-    from heiscot.forms_kahler import build_omega, is_nondegenerate, pseudo_kahler_metric, random_omega_params
+    from heiscot.forms_kahler import build_omega, is_nondegenerate, random_omega_params
     from heiscot.lie_core import build_thn
     from heiscot.metric_moduli import CanonicalMetric, act, random_positive_definite, reduce_with_diagnostics
 
@@ -138,8 +138,12 @@ def _inputs(n):
                   "F3": fmat(rng.integers(-2, 3, size=(2 * n + 1, 2 * n + 1)))}
     float_blocks = {k: float(v) if k == "f1" else to_float(v) for k, v in aut_blocks.items()}
     aut_exact2 = random_automorphism(n, g, rng=rng, exact=True)
-    return (g, j_exact, j_float, aut, standard_complex_structure(n, exact=True), a + a.T,
-            params, pseudo_kahler_metric(omega, n), aut_exact, orbit, repeated, reduced, blocks,
+    # the pseudo-Kahler metric S = J0^T Omega, the same Fractions as
+    # pseudo_kahler_metric gives, formed here because that function's
+    # signature differs between revisions
+    j0 = standard_complex_structure(n, exact=True)
+    return (g, j_exact, j_float, aut, j0, a + a.T,
+            params, j0.T @ omega, aut_exact, orbit, repeated, reduced, blocks,
             aut_blocks, float_blocks, aut_exact2)
 
 

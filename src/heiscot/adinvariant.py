@@ -30,7 +30,7 @@ from . import _exact
 from ._exact import SparseQ, ad, congruence_defect, field, field_of, is_exact, maxabs, negligible
 from .automorphism import Automorphism, assemble
 from .curvature import is_flat, levi_civita, riemann
-from .lie_core import LieAlgebra
+from .lie_core import LieAlgebra, n_of
 
 __all__ = [
     "pairing_metric",
@@ -108,15 +108,15 @@ def ad_invariant_solution_space(g: LieAlgebra) -> list[np.ndarray]:
     return _exact.solution_space(equations(), units, (d, d))
 
 
-def template_defect(s: np.ndarray, n: int) -> tuple[object, object]:
-    """Distance of s from the block template [[Sbar, alpha E], [alpha E, 0]].
+def template_defect(s: np.ndarray) -> tuple[object, object]:
+    """Distance of s from the block template [[Sbar, alpha E], [alpha E, 0]]; n = n_of(s).
 
     Returns (defect, alpha) with alpha read off the (e_1, e*_1) entry; the
     defect is a Fraction for exact input, a float otherwise.  Zero defect
     for every ad-invariant form; the check is what makes the template a
     theorem here rather than an ansatz.
     """
-    m = 2 * n + 1
+    m = 2 * n_of(s) + 1
     alpha = s[0, m]
     eye = field_of(s).eye(m)
     return max(maxabs(s[:m, m:] - alpha * eye), maxabs(s[m:, m:])), alpha
@@ -180,7 +180,7 @@ def normalize_ad_invariant(s: np.ndarray, g: LieAlgebra) -> NormalizedAdInvarian
     fld = field_of(s)
     if not is_ad_invariant(g, s):
         raise ValueError("matrix is not ad-invariant")
-    defect, alpha = template_defect(s, n)
+    defect, alpha = template_defect(s)
     if not negligible(defect, 1e-12, s):
         raise ValueError("matrix is ad-invariant but off-template; this cannot happen")
     if alpha == 0:

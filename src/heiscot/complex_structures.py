@@ -61,7 +61,7 @@ from . import _exact
 from ._exact import (SparseQ, ad, congruence_defect, feye, field, field_of, maxabs, negligible,
                      signed_permutation, to_float)
 from .automorphism import Automorphism, _pair_tables, assemble, is_automorphism
-from .lie_core import LieAlgebra, standard_symplectic
+from .lie_core import LieAlgebra, n_of, standard_symplectic
 
 __all__ = [
     "NotIntegrable",
@@ -99,23 +99,23 @@ class NotInFamily(ValueError):
     """Integrable input that cannot be conjugated to the reference structure."""
 
 
-def signed_plane_member(n: int, signs, n2=1.0) -> np.ndarray:
+def signed_plane_member(signs, n2=1.0) -> np.ndarray:
     """Rotate planes (e_i, f_i) and (e*_i, f*_i) by signs[i]; z -> n2 z*, z* -> -z/n2.
 
-    The one layout of the block family: J0 and every family member are
-    built here.  Mixed signs (possible only for n >= 2) still give
-    J^2 = -Id and a vanishing Nijenhuis tensor, but the structure is not
-    conjugate to +-J0: the form h(u, v) = omega([Ju, v]) on span(e, f)
-    picks up both signs, and its signature is preserved by conjugation.
-    Exact for an exact n2 (a Fraction or an int), float otherwise.
+    n is the number of signs.  The one layout of the block family: J0 and
+    every family member are built here.  Mixed signs (possible only for
+    n >= 2) still give J^2 = -Id and a vanishing Nijenhuis tensor, but the
+    structure is not conjugate to +-J0: the form h(u, v) = omega([Ju, v])
+    on span(e, f) picks up both signs, and its signature is preserved by
+    conjugation.  Exact for an exact n2 (a Fraction or an int), float
+    otherwise.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     signs = tuple(signs)
-    if len(signs) != n or any(s not in (1, -1) for s in signs):
-        raise ValueError("signs must be n entries of +-1")
+    if not signs or any(s not in (1, -1) for s in signs):
+        raise ValueError("signs must be n >= 1 entries of +-1")
     if n2 == 0:
         raise ValueError("n2 must be nonzero")
+    n = len(signs)
     d = 4 * n + 2
     m = 2 * n + 1
     fld = field_of(n2)
@@ -134,7 +134,7 @@ def signed_plane_member(n: int, signs, n2=1.0) -> np.ndarray:
 
 def standard_complex_structure(n: int, exact: bool = False) -> np.ndarray:
     """The reference complex structure J0 on T*h(2n+1): all signs +1, n2 = 1; entries 0, +-1."""
-    return signed_plane_member(n, (1,) * n, field(exact).scalar(1))
+    return signed_plane_member((1,) * n, field(exact).scalar(1))
 
 
 def almost_complex_defect(j: np.ndarray):
@@ -324,7 +324,7 @@ class IntegrableFamily:
         """The member (epsilon, n2, jbar3); exact when n2 and jbar3 both are."""
         n = self.n
         fld = field_of(n2, jbar3)
-        out = signed_plane_member(n, (epsilon,) * n, fld.scalar(n2))
+        out = signed_plane_member((epsilon,) * n, fld.scalar(n2))
         if jbar3 is not None:
             jbar3 = fld.array(jbar3)
             if jbar3.shape != (2 * n, 2 * n):
@@ -352,14 +352,15 @@ def solve_integrable_family(n: int) -> IntegrableFamily:
     return IntegrableFamily(n=n)
 
 
-def sign_reversing_automorphism(n: int, g: LieAlgebra) -> Automorphism:
-    """Automorphism R with R^{-1} J0 R = -J0; an involution.
+def sign_reversing_automorphism(g: LieAlgebra) -> Automorphism:
+    """Automorphism R of g = T*h(2n+1) with R^{-1} J0 R = -J0; an involution.
 
     Fbar1 = diag(Id, -Id) flips every f_i and is antisymplectic
     (conformal factor -1), so the determined central block flips e*_i
     and z.  Existence of R makes the sign of the normal form a gauge
-    choice rather than an invariant.  Exact.
+    choice rather than an invariant.  Exact; n is ``g.n``.
     """
+    n = g.n
     fb1 = feye(2 * n)
     for i in range(n):
         fb1[n + i, n + i] = -fb1[n + i, n + i]
@@ -370,17 +371,17 @@ def sign_reversing_automorphism(n: int, g: LieAlgebra) -> Automorphism:
 # normalization
 
 
-def match_family(j: np.ndarray, n: int) -> FamilyParams | None:
+def match_family(j: np.ndarray) -> FamilyParams | None:
     """Extract (epsilon, n2, jbar3) if J is a member of the block family, else None.
 
-    The member named by the entries read off J is rebuilt and compared with
-    J in every entry: exactly for exact input, else within 1e-10 of max |J|.
+    n = n_of(J).  The member named by the entries read off J is rebuilt and
+    compared with J in every entry: exactly for exact input, else within
+    1e-10 of max |J|.
     """
     j = np.asarray(j)
+    n = n_of(j)
     d = 4 * n + 2
     m = 2 * n + 1
-    if j.shape != (d, d):
-        raise ValueError("matrix dimension mismatch")
     exact = _exact.is_exact(j)
     eps_entry = j[n, 0]
     if negligible(eps_entry - 1, 1e-10, j):
@@ -644,7 +645,7 @@ def normalize_complex_structure(j: np.ndarray, g: LieAlgebra,
             f"J^2 defect {float(report['almost_complex_defect']):.2e}, "
             f"Nijenhuis defect {float(report['pairwise_defect']):.2e}"
         )
-    params = match_family(j, g.n)
+    params = match_family(j)
     if params is not None:
         return _normalize_template(j, g, params)
     result = _normalize_adapted(j, g, tol)
@@ -730,10 +731,12 @@ def hermitian_metric_space(n: int) -> HermitianMetricSpace:
     return HermitianMetricSpace(n=n, particular=particular, directions=directions)
 
 
-def matches_hermitian_family(s: np.ndarray, n: int) -> bool:
-    """Template metric lies in the J0-invariant family iff omega4 = 1 and
-    the starred block commutes with the plane rotation (within 1e-10 of max |S|)."""
+def matches_hermitian_family(s: np.ndarray) -> bool:
+    """Template metric S lies in the J0-invariant family iff omega4 = 1 and the
+    starred block commutes with the plane rotation (within 1e-10 of max |S|);
+    n = n_of(S)."""
     s = np.asarray(s)
+    n = n_of(s)
     d = 4 * n + 2
     m = 2 * n + 1
     jb = standard_symplectic(n, exact=_exact.is_exact(s))

@@ -57,7 +57,7 @@ from .curvature import (
 )
 from .complex_structures import (_j0_invariance_equations, hermitian_defect,
                                  standard_complex_structure)
-from .lie_core import LieAlgebra, build_thn
+from .lie_core import LieAlgebra, build_thn, n_of
 
 __all__ = [
     "DegenerateOmega",
@@ -307,14 +307,15 @@ def build_omega(params: OmegaParams) -> np.ndarray:
     return out
 
 
-def extract_omega_params(omega: np.ndarray, n: int) -> OmegaParams:
-    """Read the template coefficients back off a 2-form matrix.
+def extract_omega_params(omega: np.ndarray) -> OmegaParams:
+    """Read the template coefficients back off a 2-form matrix; n = n_of(omega).
 
     Inverts the slot layout of :func:`build_omega`: each parameter is read
     from its first slot, a1 and k are completed as antisymmetric and a2 as
     symmetric matrices.  The result only reproduces ``omega`` when the form
     actually lies in the closed invariant space.
     """
+    n = n_of(omega)
     fld = field_of(omega)
     values = {name: fld.zeros((n, n)) for name in ("a1", "a2", "k", "d")}
     values.update(mu=fld.scalar(0), c1=fld.scalar(0), c2=fld.scalar(0))
@@ -331,11 +332,12 @@ def extract_omega_params(omega: np.ndarray, n: int) -> OmegaParams:
     return OmegaParams(n=n, **values)
 
 
-def matches_omega_template(omega: np.ndarray, n: int) -> bool:
+def matches_omega_template(omega: np.ndarray) -> bool:
     """True when the form equals its rebuilt template instance, within 1e-10
-    relative to max |Omega| (exactly for exact input)."""
+    relative to max |Omega| (exactly for exact input); n = n_of(omega)."""
+    params = extract_omega_params(omega)
     try:
-        rebuilt = build_omega(extract_omega_params(omega, n))
+        rebuilt = build_omega(params)
     except (ValueError, AssertionError):
         return False
     return negligible(maxabs(omega - rebuilt), 1e-10, omega)
@@ -353,18 +355,16 @@ def is_nondegenerate(omega: np.ndarray) -> bool:
     return not negligible(sv[-1], 1e-12, sv)
 
 
-def pseudo_kahler_metric(omega: np.ndarray, n: int) -> np.ndarray:
+def pseudo_kahler_metric(omega: np.ndarray) -> np.ndarray:
     """S(x, y) = Omega(J0 x, y), i.e. the matrix J0^T Omega (= -J0 Omega).
 
     J0-invariance of Omega makes S symmetric and Hermitian for J0, and
-    the form is recovered as Omega(x, y) = S(x, J0 y).  Raises
-    DegenerateOmega when Omega has no inverse and ValueError when a float
-    Omega has a non-finite entry.
+    the form is recovered as Omega(x, y) = S(x, J0 y); n = n_of(omega).
+    Raises DegenerateOmega when Omega has no inverse and ValueError when a
+    float Omega has a non-finite entry.
     """
     omega = np.asarray(omega)
-    d = 4 * n + 2
-    if omega.shape != (d, d):
-        raise ValueError("form dimension mismatch")
+    n = n_of(omega)
     if not is_nondegenerate(omega):
         raise DegenerateOmega("the 2-form is degenerate")
     # (J0^T Omega)[c, q] = sgn_c Omega[img_c, q], J0 being a signed permutation
@@ -394,7 +394,7 @@ def certify_pseudo_kahler(params: OmegaParams) -> dict:
     n = params.n
     g = build_thn(n)
     omega = build_omega(params)
-    s = pseudo_kahler_metric(omega, n)
+    s = pseudo_kahler_metric(omega)
     gamma = levi_civita(g, s)
     riem = riemann(g, gamma)
     ric1 = ricci_from_riemann(riem)

@@ -30,7 +30,7 @@ from math import lcm
 import numpy as np
 
 from . import _exact
-from ._exact import field, fzeros
+from ._exact import field
 
 __all__ = [
     "LieAlgebra",
@@ -41,6 +41,7 @@ __all__ = [
     "relabel",
     "standard_symplectic",
     "derivation_algebra",
+    "n_of",
 ]
 
 
@@ -188,23 +189,23 @@ class LieAlgebra:
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 for k in range(j + 1, self.dim):
-                    acc = fzeros(self.dim)
+                    acc: dict = {}
                     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                         for (m, v) in self._lookup.get((b, c), ()):
                             for (l, w) in self._lookup.get((a, m), ()):
-                                acc[l] += v * w
-                    worst = max(worst, max((abs(x) for x in acc), default=Fraction(0)))
+                                acc[l] = acc.get(l, 0) + v * w
+                    worst = max([worst, *map(abs, acc.values())])
         return worst
 
     def is_two_step_nilpotent(self) -> bool:
         """True iff [g, [g, g]] = 0, checked exhaustively over basis brackets."""
         for (i, j, _, _) in self.constants:
             for a in range(self.dim):
-                inner = fzeros(self.dim)
+                inner: dict = {}
                 for (k, v) in self._lookup[(i, j)]:
                     for (l, w) in self._lookup.get((a, k), ()):
-                        inner[l] += v * w
-                if any(x != 0 for x in inner):
+                        inner[l] = inner.get(l, 0) + v * w
+                if any(inner.values()):
                     return False
         return True
 
@@ -253,6 +254,26 @@ def build_thn(n: int) -> LieAlgebra:
     return LieAlgebra(dim=dim, constants=tuple(sorted(constants)), basis_names=names, n=n)
 
 
+def n_of(a) -> int:
+    """n of a (4n+2) x (4n+2) operand, n >= 1; ValueError naming the shape of any other."""
+    shape = np.shape(a)
+    d = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+    if d < 6 or d % 4 != 2:
+        raise ValueError(f"operand of shape {shape} is not (4n+2) x (4n+2) for any n >= 1")
+    return (d - 2) // 4
+
+
+def _merged(constants) -> tuple:
+    """Constants (i, j, k, v) as LieAlgebra stores them: each oriented to
+    i < j with its sign, duplicates summed, zeros dropped, sorted."""
+    merged: dict = {}
+    for (i, j, k, v) in constants:
+        if i > j:
+            i, j, v = j, i, -v
+        merged[(i, j, k)] = merged.get((i, j, k), Fraction(0)) + v
+    return tuple((i, j, k, v) for (i, j, k), v in sorted(merged.items()) if v)
+
+
 def cotangent_algebra(g: LieAlgebra) -> LieAlgebra:
     """Semidirect product g ltimes g* by the coadjoint action.
 
@@ -262,9 +283,7 @@ def cotangent_algebra(g: LieAlgebra) -> LieAlgebra:
     reordering permutation from :func:`cotangent_reorder_permutation`.
     """
     d = g.dim
-    constants = []
-    for (i, j, k, v) in g.constants:
-        constants.append((i, j, k, v))
+    constants = list(g.constants)
     # [b_i, b^j]: (ad*(b_i) b^j)(b_m) = -b^j([b_i, b_m]) = -c_im^j
     for (i, m), terms in g._lookup.items():
         for (j, v) in terms:
@@ -272,13 +291,7 @@ def cotangent_algebra(g: LieAlgebra) -> LieAlgebra:
             a, b = i, d + j
             constants.append((a, b, d + m, -v))
     names = tuple(list(g.basis_names) + [f"{s}*" for s in g.basis_names])
-    merged: dict = {}
-    for (i, j, k, v) in constants:
-        if i > j:
-            i, j, v = j, i, -v
-        merged[(i, j, k)] = merged.get((i, j, k), Fraction(0)) + v
-    out = tuple((i, j, k, v) for (i, j, k), v in sorted(merged.items()) if v)
-    return LieAlgebra(dim=2 * d, constants=out, basis_names=names, n=g.n)
+    return LieAlgebra(dim=2 * d, constants=_merged(constants), basis_names=names, n=g.n)
 
 
 def cotangent_reorder_permutation(n: int) -> list[int]:
@@ -296,13 +309,7 @@ def cotangent_reorder_permutation(n: int) -> list[int]:
 
 def relabel(g: LieAlgebra, perm: list[int]) -> LieAlgebra:
     """Reindex basis vectors: new index of old b_i is perm[i]; names move along."""
-    merged: dict = {}
-    for (i, j, k, v) in g.constants:
-        a, b, c = perm[i], perm[j], perm[k]
-        if a > b:
-            a, b, v = b, a, -v
-        merged[(a, b, c)] = merged.get((a, b, c), Fraction(0)) + v
-    out = tuple((i, j, k, v) for (i, j, k), v in sorted(merged.items()) if v)
+    out = _merged((perm[i], perm[j], perm[k], v) for (i, j, k, v) in g.constants)
     names = [None] * g.dim
     for i, s in enumerate(g.basis_names):
         names[perm[i]] = s

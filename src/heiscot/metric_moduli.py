@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg import eigh, schur
 
 from ._exact import fmat, maxabs, negligible, signed_permutation, to_float
-from .lie_core import LieAlgebra, standard_symplectic
+from .lie_core import LieAlgebra, n_of, standard_symplectic
 from .automorphism import (
     Automorphism,
     assemble,
@@ -90,8 +90,10 @@ def _sym(s: np.ndarray) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def split_blocks(s: np.ndarray, n: int):
-    """(S1bar, t1, omega1, S4bar, t4, omega4, S2) for the (e,f | z* | e*,f* | z) blocks."""
+def split_blocks(s: np.ndarray):
+    """(S1bar, t1, omega1, S4bar, t4, omega4, S2) for the (e,f | z* | e*,f* | z)
+    blocks; n = n_of(s)."""
+    n = n_of(s)
     m = 2 * n + 1
     s1 = s[:m, :m]
     s2 = s[:m, m:]
@@ -268,7 +270,7 @@ def _center_pairing(s: np.ndarray, g: LieAlgebra) -> Automorphism:
     if n == 1:
         u1, v1 = _center_pairings(s)[0]
         return assemble(g, u1=u1, v1=v1)
-    s1b, t1, _, _, _, _, _ = split_blocks(s, n)
+    s1b, t1, _, _, _, _, _ = split_blocks(s)
     return assemble(g, v1=-np.linalg.solve(s1b, t1))
 
 
@@ -312,7 +314,7 @@ def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
     cur = _sym(act(step, cur))
 
     # step 3: Williamson + conformal scale (sigma_n -> 1) + z*-scale (omega1 -> 1)
-    s1b, _, om1, _, _, _, _ = split_blocks(cur, n)
+    s1b, _, om1, _, _, _, _ = split_blocks(cur)
     fbar, sigma = williamson(s1b)
     fbar = fbar / np.sqrt(sigma[-1])
     f1 = 1.0 / np.sqrt(om1)
@@ -321,7 +323,7 @@ def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
     cur = _sym(act(step, cur))
 
     # step 4: plane rotations; zero (S4bar)_{i,n+i} and order each plane's diagonal
-    _, _, _, s4b, _, _, _ = split_blocks(cur, n)
+    _, _, _, s4b, _, _, _ = split_blocks(cur)
     angles = np.zeros(n)
     for i in range(n):
         a, b, c = s4b[i, i], s4b[i, n + i], s4b[n + i, n + i]
@@ -335,7 +337,7 @@ def reduce_with_diagnostics(s: np.ndarray, g: LieAlgebra) -> ReductionResult:
     f_total = f_total @ step
     cur = _sym(act(step, cur))
 
-    s1b, t1, om1, s4b, t4, om4, s2 = split_blocks(cur, n)
+    s1b, t1, om1, s4b, t4, om4, s2 = split_blocks(cur)
     sigma_final = np.diag(s1b)[:n].copy()
     sigma_final[-1] = 1.0
     s4b_clean = 0.5 * (s4b + s4b.T)
@@ -426,7 +428,7 @@ def _generators(g: LieAlgebra) -> list:
     n = g.n
     mats = [symplectic_rotation(np.where(np.arange(n) == i, np.pi / 2, 0.0), g).matrix
             for i in range(n)]
-    mats.append(sign_reversing_automorphism(n, g).matrix)
+    mats.append(sign_reversing_automorphism(g).matrix)
     if n == 1:
         mats += [_signed_matrix(perm, (1, 1, 1, -1, -1, -1))
                  for perm in ((2, 1, 0, 5, 4, 3), (0, 2, 1, 3, 5, 4))]

@@ -138,7 +138,7 @@ def test_ac05_ad_invariant_class():
         g = build_thn(n)
         rng = np.random.default_rng(5 * n)
         basis = ad_invariant_solution_space(g)
-        ok &= all(template_defect(b, n)[0] == 0 for b in basis)
+        ok &= all(template_defect(b)[0] == 0 for b in basis)
         for _ in range(5):
             s = random_ad_invariant(g, rng)
             res = normalize_ad_invariant(s, g)
@@ -200,7 +200,7 @@ def test_ac07_hermitian_characterization():
         for v in sp.directions:
             s = sp.particular + v
             ok &= hermitian_defect(j0, s) == 0
-            ok &= matches_hermitian_family(s, n)
+            ok &= matches_hermitian_family(s)
         notes.append(f"n={n} dim {sp.dimension}")
     _verdict(7, ok, "; ".join(notes))
 
@@ -212,7 +212,7 @@ def test_ac08_closed_invariant_form_dimensions():
     for n in stated:
         space = closed_invariant_space(n)
         computed[n] = len(space)
-        members_ok &= all(matches_omega_template(w, n) for w in space)
+        members_ok &= all(matches_omega_template(w) for w in space)
     ok = computed == stated and members_ok
     _verdict(8, ok, f"computed {computed}, stated {stated}, template membership {members_ok}")
 

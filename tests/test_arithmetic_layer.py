@@ -155,16 +155,16 @@ def _curvature_tensor(eps):
 ACCEPTS = {
     "is_integrable": lambda eps: is_integrable(_j0(1, eps, (0, 2)), build_thn(1)),
     "IntegrableFamily.member": lambda eps: not _rejects(lambda: _member(eps)),
-    "match_family": lambda eps: match_family(_j0(1, eps, (0, 2)), 1) is not None,
+    "match_family": lambda eps: match_family(_j0(1, eps, (0, 2))) is not None,
     "is_hermitian": lambda eps: is_hermitian(standard_complex_structure(1, exact=True),
                                              _metric(eps, (0, 0))),
-    "matches_hermitian_family": lambda eps: matches_hermitian_family(_metric(eps, (5, 5)), 1),
+    "matches_hermitian_family": lambda eps: matches_hermitian_family(_metric(eps, (5, 5))),
     "is_abelian_complex_structure": lambda eps: is_abelian_complex_structure(
         _metric(eps, (0, 0)), build_thn(1))[0],
     "is_closed": lambda eps: is_closed(_omega(eps, (2, 5)), build_thn(1)),
     "omega_is_hermitian": lambda eps: is_hermitian(standard_complex_structure(1, exact=True),
                                                    _omega(eps, (0, 5))),
-    "matches_omega_template": lambda eps: matches_omega_template(_omega(eps, (0, 5)), 1),
+    "matches_omega_template": lambda eps: matches_omega_template(_omega(eps, (0, 5))),
     "OmegaParams.blocks": lambda eps: not _rejects(
         lambda: OmegaParams(n=1, a1=fmat([[0]]) + eps).blocks()),
     "assemble.f4": lambda eps: not _rejects(
@@ -197,12 +197,12 @@ SCALED = {
     "IntegrableFamily.member": (
         lambda: not _rejects(lambda: _huge_member(HUGE * fmat([[1, 2], [2, -1]]))), True),
     "match_family": (
-        lambda: match_family(_huge_member(HUGE * fmat([[1, 2], [2, -1]])), 1) is not None, True),
+        lambda: match_family(_huge_member(HUGE * fmat([[1, 2], [2, -1]]))) is not None, True),
     # J0 is orthogonal, so every multiple of Id is Hermitian
     "is_hermitian": (lambda: is_hermitian(standard_complex_structure(1, exact=True),
                                           HUGE * feye(6)), True),
     # omega4 = 10^400, not 1
-    "matches_hermitian_family": (lambda: matches_hermitian_family(HUGE * feye(6), 1), False),
+    "matches_hermitian_family": (lambda: matches_hermitian_family(HUGE * feye(6)), False),
     # [10^400 x, 10^400 y] = 10^800 [x, y] differs from [x, y] on a bracketing pair
     "is_abelian_complex_structure": (
         lambda: is_abelian_complex_structure(HUGE * feye(6), build_thn(1))[0], False),
@@ -210,7 +210,7 @@ SCALED = {
     "is_closed": (lambda: is_closed(HUGE * _omega(0, (0, 5)), build_thn(1)), True),
     "omega_is_hermitian": (lambda: is_hermitian(standard_complex_structure(1, exact=True),
                                                 HUGE * _omega(0, (0, 5))), True),
-    "matches_omega_template": (lambda: matches_omega_template(HUGE * _omega(0, (0, 5)), 1), True),
+    "matches_omega_template": (lambda: matches_omega_template(HUGE * _omega(0, (0, 5))), True),
     # a2 = [[10^400]] is symmetric, as a2 must be
     "OmegaParams.blocks": (
         lambda: not _rejects(lambda: OmegaParams(n=1, a2=fmat([[HUGE]])).blocks()),
@@ -273,8 +273,8 @@ def _aut(kind):
 # each builder on exact, float and mixed operands ("mixed": at least one float)
 FIELD_RULE = {
     "signed_plane_member": {
-        "exact": lambda: signed_plane_member(2, (1, -1), Fraction(1, 3)),
-        "float": lambda: signed_plane_member(2, (1, -1), 1 / 3),
+        "exact": lambda: signed_plane_member((1, -1), Fraction(1, 3)),
+        "float": lambda: signed_plane_member((1, -1), 1 / 3),
     },
     "anticommuting_block": {
         "exact": lambda: anticommuting_block(fmat([[1]]), fmat([[2]])),

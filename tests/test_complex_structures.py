@@ -79,7 +79,7 @@ def test_family_members_integrable(algebras, rng, n):
     for _ in range(12):
         params, j = fam.sample(rng)
         assert is_integrable(j, g)
-        back = match_family(j, n)
+        back = match_family(j)
         assert back is not None and back.epsilon == params.epsilon
 
 
@@ -105,7 +105,7 @@ def test_anticommuting_block_property(algebras, rng, n):
 def test_signs_are_one_orbit(algebras, n):
     g = algebras[n]
     j0 = standard_complex_structure(n, exact=True)
-    r = sign_reversing_automorphism(n, g)
+    r = sign_reversing_automorphism(g)
     lhs = r.matrix @ (-j0)
     rhs = j0 @ r.matrix
     assert (lhs == rhs).all(), "R conjugates J0 to -J0"
@@ -173,7 +173,7 @@ def test_mixed_sign_member_escapes_family_orbit(algebras, n):
     g = algebras[n]
     signs = [1] * n
     signs[-1] = -1
-    jm = signed_plane_member(n, signs)
+    jm = signed_plane_member(signs)
     assert is_integrable(jm, g)
     with pytest.raises(NotInFamily):
         normalize_complex_structure(jm, g)
@@ -187,7 +187,7 @@ def test_mixed_sign_member_escapes_family_orbit(algebras, n):
 def test_uniform_sign_member_is_in_orbit(algebras):
     # all-minus rotations give -J0 itself, which is in the family orbit
     g = algebras[2]
-    jm = signed_plane_member(2, [-1, -1])
+    jm = signed_plane_member([-1, -1])
     res = normalize_complex_structure(jm, g)
     assert float(res.residual) <= 1e-9
 

@@ -143,7 +143,7 @@ def _ac09_metric(n):
     while True:
         omega = build_omega(random_omega_params(n, rng))
         if is_nondegenerate(omega):
-            return pseudo_kahler_metric(omega, n)
+            return pseudo_kahler_metric(omega)
 
 
 def _ac10_metric(n, definite):
@@ -189,7 +189,7 @@ def test_curvature_kernels_match_dense_reference(algebras, n, kind):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ricci_trace_matches_the_dense_trace(algebras, workloads, n):
     # the kahler_sparse workload's pseudo-Kahler metrics at seed 1, the ac10 draws and the pairing
-    metrics = [pseudo_kahler_metric(build_omega(p), n) for p in workloads._kahler_setup(1, n, 3)]
+    metrics = [pseudo_kahler_metric(build_omega(p)) for p in workloads._kahler_setup(1, n, 3)]
     metrics += [_metric(kind, n) for kind in METRICS[1:]] + [pairing_metric(n, exact=True)]
     curved = 0
     for s in metrics:

@@ -136,7 +136,7 @@ def test_moduli_pool_normalizations_take_the_adapted_route(workloads):
 def test_mixed_sign_members_stay_outside_the_orbit(n):
     g = build_thn(n)
     for signs in ([1] * (n - 1) + [-1], [-1] + [1] * (n - 1)):
-        jm = signed_plane_member(n, signs)
+        jm = signed_plane_member(signs)
         for j in (jm, _conjugate(jm, g, seed=10 + n)):
             with pytest.raises(NotInFamily, match="indefinite"):
                 normalize_complex_structure(j, g)

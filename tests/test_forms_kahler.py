@@ -121,7 +121,7 @@ def test_omega_params_validation():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_omega_is_a_domain_error(bad):
     with pytest.raises(ValueError, match=r"2-form has non-finite entries at \[\(0, 0\), .* and 32 more"):
-        pseudo_kahler_metric(np.full((6, 6), bad), 1)
+        pseudo_kahler_metric(np.full((6, 6), bad))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -140,7 +140,7 @@ def test_degenerate_omega_rejected():
     params = OmegaParams(n=1, mu=Fraction(0))   # zero form
     w = build_omega(params)
     with pytest.raises(DegenerateOmega):
-        pseudo_kahler_metric(w, 1)
+        pseudo_kahler_metric(w)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -148,7 +148,7 @@ def test_metric_roundtrip_sign(n):
     """S(x, y) = Omega(J0 x, y) and Omega(x, y) = S(x, J0 y)."""
     params = OmegaParams(n=n, mu=Fraction(1))
     w = build_omega(params)
-    s = pseudo_kahler_metric(w, n)
+    s = pseudo_kahler_metric(w)
     j0 = standard_complex_structure(n, exact=True)
     assert (s == s.T).all()
     assert (w == s @ j0).all()          # Omega(x, y) = S(x, J0 y)
@@ -184,7 +184,7 @@ def test_nonflat_witness_value():
     """R(e1, f1) e1 = 2 e*_1 for the unit mu form, exactly."""
     params = OmegaParams(n=1, mu=Fraction(1))
     w = build_omega(params)
-    s = pseudo_kahler_metric(w, 1)
+    s = pseudo_kahler_metric(w)
     g = build_thn(1)
     riem = riemann(g, levi_civita(g, s))
     out = riem[0, 1, 0]

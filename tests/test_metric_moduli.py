@@ -193,7 +193,7 @@ def test_split_blocks_shapes(algebras):
     g = algebras[2]
     s = np.arange(100.0).reshape(10, 10)
     s = s + s.T
-    s1b, t1, om1, s4b, t4, om4, s2 = split_blocks(s, 2)
+    s1b, t1, om1, s4b, t4, om4, s2 = split_blocks(s)
     assert s1b.shape == (4, 4) and s4b.shape == (4, 4)
     assert t1.shape == (4,) and t4.shape == (4,)
     assert s2.shape == (5, 5)
@@ -228,7 +228,7 @@ def test_center_pairing_kills_t1_and_t4(algebras):
     for k in range(200):
         s = _without_s2(_wide_positive_definite(g, rng) if k % 2 else random_positive_definite(g, rng))
         moved = act(metric_moduli._center_pairing(s, g), s)
-        _, t1, _, _, t4, _, _ = split_blocks(moved, 1)
+        _, t1, _, _, t4, _, _ = split_blocks(moved)
         scale = max(1.0, np.abs(s).max())
         assert max(np.abs(t1).max(), np.abs(t4).max()) <= 1e-12 * scale
 

@@ -144,8 +144,8 @@ def test_build_and_extract_match_the_reference_on_members(n, exact):
             params = _as_float(params)
         omega = build_omega(params)
         _same_entries(omega, ref_build(params))
-        _same_params(extract_omega_params(omega, n), ref_extract(omega, n))
-        assert matches_omega_template(omega, n)
+        _same_params(extract_omega_params(omega), ref_extract(omega, n))
+        assert matches_omega_template(omega)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -157,9 +157,9 @@ def test_extract_matches_the_reference_off_the_template(n, exact):
         raw = rng.integers(-3, 4, size=(d, d))
         omega = raw - raw.T
         omega = fmat(omega) if exact else omega.astype(float)
-        _same_params(extract_omega_params(omega, n), ref_extract(omega, n))
+        _same_params(extract_omega_params(omega), ref_extract(omega, n))
         try:   # a d block read off a non-member need not be symmetric
             expected = bool(np.all(ref_build(ref_extract(omega, n)) == omega))
         except ValueError:
             expected = False
-        assert matches_omega_template(omega, n) is expected
+        assert matches_omega_template(omega) is expected

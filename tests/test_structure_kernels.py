@@ -110,7 +110,7 @@ def _exact_structures(n):
     member = IntegrableFamily(n).member(-1, Fraction(-5, 3), anticommuting_block(*blocks))
     out = {"j0": standard_complex_structure(n, exact=True), "member": member}
     if n >= 2:
-        out["signed"] = signed_plane_member(n, [1] * (n - 1) + [-1], n2=Fraction(2, 7))
+        out["signed"] = signed_plane_member([1] * (n - 1) + [-1], n2=Fraction(2, 7))
     broken = member.copy()
     broken[: 2 * n, : 2 * n] *= -1
     broken[0, 2 * n] += Fraction(1, 3)
